@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import flow
-from .errors import ShellQMError
+from .errors import InvalidArgumentError, ShellQMError
 from .experiments import run_trials, verification_suite
 from .measurement import born_probabilities, mean_value, spectrum
 from .phasespace import evaluate_observable
@@ -191,6 +191,15 @@ def _parse_tol(pairs: list[str]) -> dict:
     return out
 
 
+def _check_ranges(args: argparse.Namespace) -> None:
+    if args.trials is not None and args.trials < 1:
+        raise InvalidArgumentError(f"--trials must be at least 1, got {args.trials}")
+    if args.samples < 1:
+        raise InvalidArgumentError(f"--samples must be at least 1, got {args.samples}")
+    if not np.isfinite(args.time):
+        raise InvalidArgumentError(f"--time must be finite, got {args.time}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shellqm",
@@ -229,19 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         _diagnostic("IOError", str(exc))
         return 2
     try:
-        if tol_overrides:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                _diagnostic("ScenarioParseError", f"invalid JSON at line {exc.lineno}: {exc.msg}")
-                return 2
-            if not isinstance(doc, dict):
-                _diagnostic("ScenarioParseError", "scenario document must be a JSON object")
-                return 2
-            merged = dict(doc.get("tolerances") or {})
-            merged.update(tol_overrides)
-            text = json.dumps({**doc, "tolerances": merged})
-        scenario = parse_scenario(text)
+        _check_ranges(args)
+        scenario = parse_scenario(text, overrides=tol_overrides)
         return dispatch(args.command, scenario, args)
     except ShellQMError as exc:
         _diagnostic(type(exc).__name__, str(exc))

@@ -9,7 +9,7 @@ a deterministic representative and `states_equal` compares up to phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,16 +105,22 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
-    """Quantum observable: the Hermitian matrix of the form <psi|A|psi>."""
+    """Quantum observable: the Hermitian matrix of the form <psi|A|psi>.
+
+    The matrix is a read-only private copy of the input, so an instance is
+    immutable and `linalg.eigh` can keep its decomposition on it.  `tol` is
+    the absolute Hermiticity tolerance max |M_nm - conj(M_mn)|.
+    """
 
     matrix: np.ndarray
+    tol: float = field(default=TOL_HERM, kw_only=True, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquareError(f"observable matrix must be square, got shape {m.shape}")
         resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if resid > TOL_HERM:
+        if resid > self.tol:
             raise NotHermitianError(f"matrix is not Hermitian (max residual {resid:.3e})")
         object.__setattr__(self, "matrix", _readonly(m))
 

@@ -42,7 +42,9 @@ def flow(a: HermitianObservable, psi0: StateVector, t: float) -> StateVector:
     """Exact flow of the state under generator A for parameter t.
 
     Applies the unitary propagator U(t), the closed-form solution of
-    psi-dot = -i A psi; the shell norm is preserved structurally.
+    psi-dot = -i A psi; the shell norm is preserved structurally.  The
+    decomposition of A is memoized on the observable instance, so flowing
+    along a grid of t with one `a` solves the eigenproblem once.
     """
     if a.dimension != psi0.dimension:
         raise DimensionMismatchError(

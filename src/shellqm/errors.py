@@ -5,6 +5,11 @@ class ShellQMError(Exception):
     """Base class for all errors raised by shellqm."""
 
 
+class InvalidArgumentError(ShellQMError, ValueError):
+    """An argument lies outside its valid range (too few trials, a non-finite
+    flow parameter, ...)."""
+
+
 class DimensionMismatchError(ShellQMError):
     """Operands have incompatible dimensions."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import HermitianObservable, StateVector, make_state
 from .dynamics import flow
-from .errors import InsufficientTrialsError, NoConvergenceError
+from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .measurement import (
     AdmissibleSubspace,
     born_probabilities,
@@ -111,7 +111,7 @@ def run_trials(
     over a single stream produces identical counts.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise InvalidArgumentError(f"trials must be at least 1, got {trials}")
     dist = born_probabilities(obs, state)
     cdf = np.cumsum(dist.probabilities)
     u = trial_uniforms(seed, trials)
@@ -183,9 +183,16 @@ def verify_mean_value(
     A rounding guard of 1e-12 * max(1, |expected|) keeps the zero-variance
     case (single-outcome distribution) from failing on accumulation error.
     """
+    return _mean_report(obs, state, run_trials(obs, state, trials, seed))
+
+
+def _mean_report(
+    obs: HermitianObservable, state: StateVector, table: FrequencyTable
+) -> VerificationReport:
+    """The mean-proportionality check of `verify_mean_value` on a drawn table."""
+    trials = table.trials
     if trials < 100:
-        raise ValueError("need at least 100 trials")
-    table = run_trials(obs, state, trials, seed)
+        raise InvalidArgumentError(f"the mean check needs at least 100 trials, got {trials}")
     empirical = float(np.dot(table.values, table.counts)) / trials
     expected = evaluate_observable(obs, state) / state.hbar
     centered = table.values - empirical
@@ -198,7 +205,7 @@ def verify_mean_value(
         statistic=diff,
         threshold=threshold,
         passed=diff <= threshold,
-        digest={"dimension": obs.dimension, "seed": seed, "trials": trials},
+        digest={"dimension": obs.dimension, "seed": table.seed, "trials": trials},
     )
 
 
@@ -281,10 +288,12 @@ def verification_suite(
     obs: HermitianObservable, state: StateVector, trials: int, seed: int
 ) -> list[VerificationReport]:
     """Full battery for one scenario: Born-frequency goodness of fit, mean
-    proportionality, minimization-vs-spectrum, and flow norm conservation."""
+    proportionality, minimization-vs-spectrum, and flow norm conservation.
+
+    The two statistical checks share one Monte Carlo table."""
     table = run_trials(obs, state, trials, seed)
     return [
-        verify_mean_value(obs, state, trials, seed),
+        _mean_report(obs, state, table),
         chi_square(table),
         courant_fischer_report(obs, seed, hbar=state.hbar),
         norm_conservation_report(obs, state, seed),

@@ -127,10 +127,23 @@ def eigh(observable: HermitianObservable | np.ndarray) -> EigenSystem:
     ascending, eigenvector phases fixed, and vectors inside a degeneracy
     cluster ordered by the index of their largest-modulus component.
 
+    The decomposition is memoized per HermitianObservable instance: the first
+    call solves and stores the system on the (immutable) observable, and later
+    calls return that same EigenSystem.  A raw array is solved on every call.
+
     Raises NoConvergenceError if the off-diagonal mass has not dropped below
     JACOBI_REL_TOL * ||A||_F within the sweep budget.
     """
-    matrix = observable.matrix if isinstance(observable, HermitianObservable) else observable
+    if not isinstance(observable, HermitianObservable):
+        return _jacobi_eigh(observable)
+    system = observable.__dict__.get("_eigensystem")
+    if system is None:
+        system = _jacobi_eigh(observable.matrix)
+        object.__setattr__(observable, "_eigensystem", system)
+    return system
+
+
+def _jacobi_eigh(matrix) -> EigenSystem:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
@@ -192,6 +205,8 @@ def unitary_propagator(a: HermitianObservable, t: float) -> np.ndarray:
     """U(t) = sum_n exp(-i a_n t) |a_n><a_n| via the spectral decomposition.
 
     Exactly unitary up to rounding: U(0) is the identity and U U^dag = 1.
+    The decomposition comes from `eigh`, memoized per observable instance, so
+    propagators of one observable at many t share a single Jacobi solve.
     """
     es = eigh(a)
     phases = np.exp(-1j * es.eigenvalues * t)

@@ -125,7 +125,8 @@ def born_probabilities(
     """Outcome distribution p = |<a_n|psi>|^2 / hbar, summed over each
     degeneracy cluster.
 
-    Pass `system` to reuse an existing decomposition of `obs`.
+    `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
+    a decomposition obtained some other way.
     """
     if obs.dimension != state.dimension:
         raise DimensionMismatchError(

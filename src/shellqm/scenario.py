@@ -30,7 +30,7 @@ from .core import TOL_HERM, TOL_SHELL, HermitianObservable, StateVector, make_st
 from .errors import OffShellError, ScenarioParseError, ScenarioValidationError
 from .linalg import check_hermitian
 
-KNOWN_TOLERANCES = ("shell", "herm", "zero")
+KNOWN_TOLERANCES = ("shell", "herm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,10 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def observable(self) -> HermitianObservable:
-        return HermitianObservable(self.observable_re + 1j * self.observable_im)
+        return HermitianObservable(
+            self.observable_re + 1j * self.observable_im,
+            tol=self.tolerances.get("herm", TOL_HERM),
+        )
 
     def state(self) -> StateVector:
         raw = self.state_re + 1j * self.state_im
@@ -123,8 +126,12 @@ def _complex_parts(doc: dict, name: str, shape: tuple) -> tuple[np.ndarray, np.n
     return re, im
 
 
-def parse_scenario(text: str | bytes) -> Scenario:
+def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario:
     """Parse and fully validate a scenario document.
+
+    `overrides` maps tolerance names to values that replace the document's
+    own `tolerances` entries.  Every tolerance must be a known name with a
+    positive finite value.
 
     ScenarioParseError carries the line/field context of a malformed document;
     ScenarioValidationError flags a well-formed one that violates the model
@@ -149,12 +156,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
     normalize = _field(doc, "normalize", bool, required=False, default=False)
     seed = _field(doc, "seed", int, required=False, default=0)
     trials = _field(doc, "trials", int, required=False, default=10000)
-    tolerances = _field(doc, "tolerances", dict, required=False, default={})
+    tolerances = {**_field(doc, "tolerances", dict, required=False, default={}),
+                  **(overrides or {})}
     for key, value in tolerances.items():
         if key not in KNOWN_TOLERANCES:
             raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ScenarioParseError(f"tolerance {key!r} must be a positive number")
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not np.isfinite(value) or value <= 0):
+            raise ScenarioParseError(
+                f"tolerance {key!r} must be a positive finite number, got {value!r}"
+            )
 
     if d < 1:
         raise ScenarioValidationError(f"dimension must be positive, got {d}")
@@ -184,7 +195,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         normalize=normalize,
         seed=seed,
         trials=trials,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
     )
     try:
         scenario.state()

@@ -102,6 +102,16 @@ class TestParseScenario:
         with pytest.raises(ScenarioParseError, match="tolerance"):
             parse_scenario(scenario_text(tolerances={"bogus": 1e-3}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_non_finite_or_nonpositive_tolerance_rejected(self, value):
+        with pytest.raises(ScenarioParseError, match="positive finite"):
+            parse_scenario(scenario_text(tolerances={"shell": value}))
+
+    def test_overrides_replace_document_tolerances(self):
+        text = scenario_text(tolerances={"shell": 1e-8, "herm": 1e-9})
+        scenario = parse_scenario(text, overrides={"shell": 1e-3})
+        assert scenario.tolerances == {"shell": 1e-3, "herm": 1e-9}
+
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))
         again = parse_scenario(scenario.serialize())
@@ -247,6 +257,42 @@ class TestDispatch:
         assert main([
             "probs", "--scenario", scen, "--out", str(tmp_path), "--tol", "shell=1e-3",
         ]) == 0
+
+    def test_tol_override_allows_loose_herm(self, tmp_path):
+        scen = self.write_scenario(
+            tmp_path, observable={"re": [[1, 1e-9], [0, 2]], "im": [[0, 0], [0, 0]]}
+        )
+        assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 2
+        assert main([
+            "probs", "--scenario", scen, "--out", str(tmp_path), "--tol", "herm=1e-6",
+        ]) == 0
+        _, _, rows = self.read_csv(tmp_path / "probs.csv")
+        assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--trials", "0"],
+        ["verify", "--trials", "50"],
+        ["evolve", "--samples", "-1"],
+        ["evolve", "--samples", "0"],
+        ["evolve", "--time", "nan"],
+        ["evolve", "--time", "inf"],
+        ["probs", "--tol", "shell=nan"],
+        ["probs", "--tol", "shell=inf"],
+        ["probs", "--tol", "zero=1e-12"],
+    ])
+    def test_out_of_range_arguments_exit_2(self, tmp_path, capsys, argv):
+        scen = self.write_scenario(tmp_path)
+        assert main(argv + ["--scenario", scen, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"type", "message"}
+        assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("verify.json")) == []
+
+    def test_verify_with_too_few_scenario_trials_exits_2(self, tmp_path, capsys):
+        scen = self.write_scenario(tmp_path, trials=50)
+        assert main(["verify", "--scenario", scen]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"]["type"] == "InvalidArgumentError"
 
     def test_stdout_default(self, tmp_path, capsys):
         scen = self.write_scenario(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import shellqm.experiments
 from shellqm import (
     HermitianObservable,
     chi_square,
@@ -11,9 +12,10 @@ from shellqm import (
     measure,
     run_trials,
     spectrum,
+    verification_suite,
     verify_mean_value,
 )
-from shellqm.errors import InsufficientTrialsError
+from shellqm.errors import InsufficientTrialsError, InvalidArgumentError
 from shellqm.experiments import CHI2_999, FrequencyTable, chi2_threshold_999, courant_fischer_report
 from shellqm.rng import master_rng, trial_uniforms
 
@@ -202,6 +204,28 @@ class TestVerifyMeanValue:
         obs, state = equal_weight_scenario()
         with pytest.raises(ValueError):
             verify_mean_value(obs, state, trials=99, seed=0)
+
+
+class TestVerificationSuite:
+    def test_one_table_shared_by_both_statistical_checks(self, rng, monkeypatch):
+        obs = random_hermitian(3, rng)
+        state = random_state(3, rng)
+        tables = []
+
+        def counting(*args):
+            tables.append(run_trials(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(shellqm.experiments, "run_trials", counting)
+        reports = verification_suite(obs, state, trials=5000, seed=11)
+        assert len(tables) == 1
+        assert reports[0] == verify_mean_value(obs, state, trials=5000, seed=11)
+        assert reports[1] == chi_square(tables[0])
+
+    def test_too_few_trials_is_an_argument_error(self):
+        obs, state = equal_weight_scenario()
+        with pytest.raises(InvalidArgumentError):
+            verification_suite(obs, state, trials=50, seed=0)
 
 
 class TestCourantFischer:

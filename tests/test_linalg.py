@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from shellqm import HermitianObservable, check_hermitian, commutator, config_observable, eigh, unitary_propagator
+import shellqm.linalg
+from shellqm import (
+    HermitianObservable,
+    check_hermitian,
+    commutator,
+    config_observable,
+    eigh,
+    flow,
+    make_state,
+    mean_value,
+    measure,
+    unitary_propagator,
+)
+from shellqm.rng import master_rng
 from shellqm.errors import NotSquareError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
@@ -102,6 +115,50 @@ class TestEigh:
         assert es.clusters == ((0, 1, 2),)
         es = eigh(config_observable(3))
         assert es.clusters == ((0,), (1,), (2,))
+
+
+class TestEighCache:
+    def test_same_instance_returns_same_system(self, rng):
+        obs = random_hermitian(4, rng)
+        assert eigh(obs) is eigh(obs)
+
+    def test_cached_system_matches_raw_solve_bytes(self, rng):
+        obs = random_hermitian(6, rng)
+        cached, raw = eigh(obs), eigh(obs.matrix)
+        assert cached.eigenvalues.tobytes() == raw.eigenvalues.tobytes()
+        assert cached.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
+        assert cached.clusters == raw.clusters
+
+    def test_raw_array_not_cached(self, rng):
+        m = random_hermitian(3, rng).matrix
+        assert eigh(m) is not eigh(m)
+
+    def test_source_array_writes_do_not_reach_observable(self, rng):
+        source = random_hermitian(4, rng).matrix.copy()
+        original = source.copy()
+        obs = HermitianObservable(source)
+        source.setflags(write=True)
+        source[0, 0] += 100.0
+        assert np.array_equal(obs.matrix, original)
+        assert eigh(obs).eigenvalues.tobytes() == eigh(original).eigenvalues.tobytes()
+
+    def test_one_solve_across_flow_grid_mean_and_measure(self, rng, monkeypatch):
+        solves = []
+        solve = shellqm.linalg._jacobi_eigh
+
+        def counting(matrix):
+            solves.append(1)
+            return solve(matrix)
+
+        monkeypatch.setattr(shellqm.linalg, "_jacobi_eigh", counting)
+        obs = random_hermitian(5, rng)
+        raw = rng.normal(size=5) + 1j * rng.normal(size=5)
+        psi = make_state(raw / np.linalg.norm(raw), hbar=1.0)
+        for t in np.linspace(0.0, 2.0 * np.pi, 9):
+            flow(obs, psi, float(t))
+        mean_value(obs, psi)
+        measure(obs, psi, master_rng(3))
+        assert len(solves) == 1
 
 
 class TestCommutator:
