@@ -35,8 +35,6 @@ from .measurement import (
     constrained_min,
     mean_value,
     measure,
-    sample_outcome,
-    spectrum,
 )
 from .phasespace import (
     BracketValue,
@@ -86,10 +84,8 @@ __all__ = [
     "poisson_bracket",
     "project_to_shell",
     "run_trials",
-    "sample_outcome",
     "shell_defect",
     "shell_residual",
-    "spectrum",
     "states_equal",
     "to_complex",
     "to_real",

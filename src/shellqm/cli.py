@@ -19,7 +19,8 @@ from . import __version__
 from .dynamics import flow
 from .errors import InvalidArgumentError, ShellQMError
 from .experiments import run_trials, verification_suite
-from .measurement import born_probabilities, mean_value, spectrum
+from .linalg import eigh
+from .measurement import born_probabilities, mean_value
 from .phasespace import evaluate_observable
 from .rng import RNG_ID
 from .scenario import Scenario, parse_scenario
@@ -55,23 +56,13 @@ def _json_text(meta: dict, payload: dict) -> str:
     return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> list[Path]:
+def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
-        return []
+        return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    target = path / filename
-    target.write_text(text, encoding="utf-8", newline="\n")
-    return [target]
-
-
-def _tabular(command, scenario, seed, trials, fmt, out_dir, header, rows, payload):
-    if fmt == "structured":
-        text = _json_text(_meta(scenario, seed, trials), payload)
-        return _emit(text, out_dir, f"{command}.json")
-    text = _csv_text(_meta(scenario, seed, trials), header, rows)
-    return _emit(text, out_dir, f"{command}.csv")
+    (path / filename).write_text(text, encoding="utf-8", newline="\n")
 
 
 def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
@@ -80,15 +71,15 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
     trials = scenario.trials if args.trials is None else args.trials
     obs = scenario.observable()
     state = scenario.state()
-    fmt = args.format
-    out_dir = args.out
+    meta = _meta(scenario, seed, trials)
 
     if command == "spectrum":
-        es = spectrum(obs)
+        es = eigh(obs)
         cluster_of = {}
         for cid, members in enumerate(es.clusters):
             for k in members:
                 cluster_of[k] = cid
+        header = ["level", "eigenvalue", "cluster"]
         rows = [[n + 1, float(es.eigenvalues[n]), cluster_of[n]] for n in range(es.dimension)]
         payload = {
             "eigenvalues": es.eigenvalues.tolist(),
@@ -96,32 +87,22 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
             "eigenvectors_re": es.eigenvectors.real.tolist(),
             "eigenvectors_im": es.eigenvectors.imag.tolist(),
         }
-        _tabular(command, scenario, seed, trials, fmt, out_dir,
-                 ["level", "eigenvalue", "cluster"], rows, payload)
-        return 0
-
-    if command == "probs":
+    elif command == "probs":
         dist = born_probabilities(obs, state)
+        header = ["outcome", "probability"]
         rows = [[float(v), float(p)] for v, p in dist.outcomes]
         payload = {
             "values": dist.values.tolist(),
             "probabilities": dist.probabilities.tolist(),
         }
-        _tabular(command, scenario, seed, trials, fmt, out_dir,
-                 ["outcome", "probability"], rows, payload)
-        return 0
-
-    if command == "mean":
+    elif command == "mean":
         mean = mean_value(obs, state)
         direct = evaluate_observable(obs, state) / state.hbar
+        header = ["mean_of_outcomes", "observable_over_hbar", "difference"]
         rows = [[mean, direct, mean - direct]]
         payload = {"mean_of_outcomes": mean, "observable_over_hbar": direct,
                    "difference": mean - direct}
-        _tabular(command, scenario, seed, trials, fmt, out_dir,
-                 ["mean_of_outcomes", "observable_over_hbar", "difference"], rows, payload)
-        return 0
-
-    if command == "evolve":
+    elif command == "evolve":
         times = np.linspace(0.0, args.time, args.samples + 1)
         header = ["t"]
         for k in range(scenario.dimension):
@@ -138,12 +119,10 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
             row.append(evolved.norm_squared() - state.hbar)
             rows.append(row)
             trajectory.append({"t": float(t), "re": comp.real.tolist(), "im": comp.imag.tolist()})
-        _tabular(command, scenario, seed, trials, fmt, out_dir,
-                 header, rows, {"trajectory": trajectory})
-        return 0
-
-    if command == "sample":
+        payload = {"trajectory": trajectory}
+    elif command == "sample":
         table = run_trials(obs, state, trials, seed)
+        header = ["outcome", "count", "frequency", "reference"]
         rows = [
             [float(table.values[k]), int(table.counts[k]),
              float(table.frequencies[k]), float(table.reference[k])]
@@ -155,11 +134,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
             "frequencies": table.frequencies.tolist(),
             "reference": table.reference.tolist(),
         }
-        _tabular(command, scenario, seed, trials, fmt, out_dir,
-                 ["outcome", "count", "frequency", "reference"], rows, payload)
-        return 0
-
-    if command == "verify":
+    elif command == "verify":
         reports = verification_suite(obs, state, trials, seed)
         payload = {
             "reports": [
@@ -174,11 +149,16 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
             ],
             "passed": all(bool(r.passed) for r in reports),
         }
-        text = _json_text(_meta(scenario, seed, trials), payload)
-        _emit(text, out_dir, "verify.json")
+        _emit(_json_text(meta, payload), args.out, "verify.json")
         return 0 if payload["passed"] else 1
+    else:
+        raise ValueError(f"unknown command {command!r}")
 
-    raise ValueError(f"unknown command {command!r}")
+    if args.format == "structured":
+        _emit(_json_text(meta, payload), args.out, f"{command}.json")
+    else:
+        _emit(_csv_text(meta, header, rows), args.out, f"{command}.csv")
+    return 0
 
 
 def _parse_tol(pairs: list[str]) -> dict:

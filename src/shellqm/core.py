@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     NotHermitianError,
     NotSquareError,
     OffShellError,
@@ -103,6 +104,19 @@ class StateVector:
         return float(np.sum(np.abs(self.components) ** 2))
 
 
+def _hermitian_residual(matrix) -> float:
+    """max |M_nm - conj(M_mn)|: 0 when empty, NaN or inf when an entry is."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+
+
+def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
+    """True iff max |M_nm - conj(M_mn)| <= tol; the package's one Hermiticity test."""
+    return _hermitian_residual(matrix) <= tol
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
     """Quantum observable: the Hermitian matrix of the form <psi|A|psi>.
@@ -117,11 +131,12 @@ class HermitianObservable:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSquareError(f"observable matrix must be square, got shape {m.shape}")
-        resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if resid > self.tol:
+        if not check_hermitian(m, self.tol):
+            resid = _hermitian_residual(m)
             raise NotHermitianError(f"matrix is not Hermitian (max residual {resid:.3e})")
+        with np.errstate(over="ignore"):  # an overflow is refused, not warned about
+            if not np.isfinite(np.linalg.norm(m)):
+                raise InvalidArgumentError("observable matrix is too large: its norm overflows")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -149,9 +164,10 @@ class GeneralQuadraticObservable:
                 f"linear part has length {d} but matrices have shapes "
                 f"{herm.shape} and {anom.shape}"
             )
-        if np.max(np.abs(herm - herm.conj().T), initial=0.0) > TOL_HERM:
-            raise NotHermitianError("hermitian part fails the Hermiticity check")
-        if np.max(np.abs(anom - anom.T), initial=0.0) > TOL_HERM:
+        if not check_hermitian(herm):
+            resid = _hermitian_residual(herm)
+            raise NotHermitianError(f"hermitian part is not Hermitian (max residual {resid:.3e})")
+        if not np.max(np.abs(anom - anom.T), initial=0.0) <= TOL_HERM:
             raise NotHermitianError("anomalous part must be symmetric")
         object.__setattr__(self, "linear", _readonly(lin))
         object.__setattr__(self, "hermitian", _readonly(herm))

@@ -24,7 +24,8 @@ RK4_SHELL_TOL = 1e-6  # RK4 does not conserve the norm exactly; drift is measure
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States sampled along a flow, at ascending parameter values."""
+    """States along a flow at ascending parameter values; `flow_numeric`
+    records the two endpoints."""
 
     times: np.ndarray
     states: tuple[StateVector, ...]
@@ -64,9 +65,10 @@ def flow_numeric(
     """Fixed-step classical RK4 integration of psi-dot = -i A psi.
 
     An independent cross-check of `flow`: the final state converges to it at
-    fourth order in t/steps.  Every recorded state is revalidated against the
+    fourth order in t/steps.  Every step's state is revalidated against the
     shell at the loose tolerance RK4_SHELL_TOL, so norm drift raises rather
-    than passing silently.
+    than passing silently.  Only the endpoints (0, psi0) and (t, final) are
+    kept, so memory does not grow with `steps`.
     """
     if a.dimension != psi0.dimension:
         raise DimensionMismatchError(
@@ -80,16 +82,14 @@ def flow_numeric(
     m = a.matrix
     h = t / steps
     psi = psi0.components.astype(complex)
-    times = np.linspace(0.0, t, steps + 1)
-    states = [psi0]
     for _ in range(steps):
         k1 = _velocity(m, psi)
         k2 = _velocity(m, psi + 0.5 * h * k1)
         k3 = _velocity(m, psi + 0.5 * h * k2)
         k4 = _velocity(m, psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(make_state(psi, psi0.hbar, tol=RK4_SHELL_TOL))
-    return Trajectory(times, tuple(states))
+        final = make_state(psi, psi0.hbar, tol=RK4_SHELL_TOL)
+    return Trajectory(np.array([0.0, t]), (psi0, final))
 
 
 def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:

@@ -15,12 +15,8 @@ import numpy as np
 from .core import HermitianObservable, StateVector, make_state
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
-from .measurement import (
-    AdmissibleSubspace,
-    born_probabilities,
-    constrained_min,
-    spectrum,
-)
+from .linalg import eigh
+from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_index
 from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_uniforms
 
@@ -105,18 +101,16 @@ def run_trials(
     """Tally `trials` independent measurements, each from the freshly prepared
     state.
 
-    A measurement consumes exactly one uniform draw (collapse is
-    deterministic), so trial i uses draw i of the seed-keyed stream and the
-    table is reproducible byte for byte; an explicit loop of measure() calls
-    over a single stream produces identical counts.
+    Trial i maps draw i of the seed-keyed stream through `outcome_index`,
+    the sampler `measure` uses on its one draw, so the table is reproducible
+    byte for byte and a loop of measure() calls over `master_rng(seed)`
+    tallies the same counts.
     """
     if trials < 1:
         raise InvalidArgumentError(f"trials must be at least 1, got {trials}")
     dist = born_probabilities(obs, state)
-    cdf = np.cumsum(dist.probabilities)
-    u = trial_uniforms(seed, trials)
-    outcomes = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    counts = np.bincount(outcomes, minlength=len(cdf)).astype(np.int64)
+    outcomes = outcome_index(dist.probabilities, trial_uniforms(seed, trials))
+    counts = np.bincount(outcomes, minlength=len(dist.probabilities)).astype(np.int64)
     return FrequencyTable(
         trials=trials,
         values=dist.values,
@@ -226,7 +220,7 @@ def courant_fischer_report(
 ) -> VerificationReport:
     """Compare constrained minimization at every level against the
     eigensolver; the statistic is the worst relative deviation."""
-    es = spectrum(obs)
+    es = eigh(obs)
     worst = 0.0
     failed = False
     for n in range(1, obs.dimension + 1):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL_HERM, HermitianObservable, phase_fix
-from .errors import DimensionMismatchError, NoConvergenceError, NotSquareError
+from .core import HermitianObservable, check_hermitian, phase_fix
+from .errors import DimensionMismatchError, InvalidArgumentError, NoConvergenceError, NotSquareError
 
 # Convergence and clustering controls for the Jacobi sweep.
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius norm relative to ||A||_F
@@ -49,16 +49,6 @@ class EigenSystem:
         """Sum of a_n |a_n><a_n| over the spectrum."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
-
-
-def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
-    """True iff max |M_nm - conj(M_mn)| <= tol."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    if m.size == 0:
-        return True
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -132,7 +122,8 @@ def eigh(observable: HermitianObservable | np.ndarray) -> EigenSystem:
     calls return that same EigenSystem.  A raw array is solved on every call.
 
     Raises NoConvergenceError if the off-diagonal mass has not dropped below
-    JACOBI_REL_TOL * ||A||_F within the sweep budget.
+    JACOBI_REL_TOL * ||A||_F within the sweep budget, and InvalidArgumentError
+    if ||A||_F is not finite (a NaN entry, or entries so large it overflows).
     """
     if not isinstance(observable, HermitianObservable):
         return _jacobi_eigh(observable)
@@ -153,6 +144,9 @@ def _jacobi_eigh(matrix) -> EigenSystem:
     v = np.eye(d, dtype=complex)
 
     fro = float(np.linalg.norm(a))
+    if not np.isfinite(fro):
+        # An infinite target would stop the sweep before any rotation.
+        raise InvalidArgumentError(f"matrix norm is {fro}; the eigensolver needs a finite one")
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
         # Entries all below target/d cannot push the off-diagonal norm above

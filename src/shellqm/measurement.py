@@ -113,12 +113,6 @@ class ConstrainedMin:
     restarts: int
 
 
-def spectrum(obs: HermitianObservable) -> EigenSystem:
-    """Spectral decomposition with degeneracy clusters attached; the cluster
-    values are the possible outcomes of the measured quantity."""
-    return eigh(obs)
-
-
 def born_probabilities(
     obs: HermitianObservable, state: StateVector, system: EigenSystem | None = None
 ) -> ProbabilityDistribution:
@@ -227,11 +221,15 @@ def constrained_min(
     )
 
 
-def sample_outcome(dist: ProbabilityDistribution, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample of a cluster index; consumes exactly one draw."""
-    u = rng.random()
-    cdf = np.cumsum(dist.probabilities)
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
+    """Inverse-CDF cluster index of a uniform draw u in [0, 1), or of an array
+    of draws: the one sampler behind `measure` and `run_trials`.
+
+    On-shell probabilities sum to 1 only within the shell tolerance, so the
+    CDF is divided by its total: its last entry is then exactly 1 > u, and no
+    draw lands on a zero-probability cluster."""
+    cdf = np.cumsum(probabilities)
+    return np.minimum(np.searchsorted(cdf / cdf[-1], u, side="right"), len(cdf) - 1)
 
 
 def measure(
@@ -245,11 +243,11 @@ def measure(
     The post state is the shell-normalized projection of the input onto the
     outcome's eigenspace (cluster eigenspace for degenerate outcomes), so an
     immediate repeat measurement returns the same outcome with probability 1.
-    Consumes exactly one draw from `rng`.
+    Maps exactly one draw from `rng` through `outcome_index`, as `run_trials` does.
     """
     es = eigh(obs) if system is None else system
     dist = born_probabilities(obs, state, system=es)
-    k = sample_outcome(dist, rng)
+    k = int(outcome_index(dist.probabilities, rng.random()))
     members = list(es.clusters[k])
     vectors = es.eigenvectors[:, members]
     projected = vectors @ (vectors.conj().T @ state.components)

@@ -22,13 +22,13 @@ Example document:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import TOL_HERM, TOL_SHELL, HermitianObservable, StateVector, make_state, project_to_shell
-from .errors import OffShellError, ScenarioParseError, ScenarioValidationError
-from .linalg import check_hermitian
+from .errors import NotHermitianError, OffShellError, ScenarioParseError, ScenarioValidationError
 
 KNOWN_TOLERANCES = ("shell", "herm")
 
@@ -97,7 +97,10 @@ def _field(doc: dict, name: str, kind, required: bool = True, default=None):
     elif kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioParseError(f"field {name!r} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ScenarioParseError(f"field {name!r} is beyond the range of a double") from None
     elif kind is bool:
         if not isinstance(value, bool):
             raise ScenarioParseError(f"field {name!r} must be a boolean, got {value!r}")
@@ -115,7 +118,7 @@ def _complex_parts(doc: dict, name: str, shape: tuple) -> tuple[np.ndarray, np.n
     try:
         re = np.array(entry["re"], dtype=float)
         im = np.array(entry["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"field {name!r} is not numeric: {exc}") from None
     if re.shape != shape or im.shape != shape:
         raise ScenarioParseError(
@@ -138,14 +141,12 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     constraints (non-Hermitian observable, off-shell state without normalize,
     non-positive dimension/hbar/trials).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # malformed JSON or UTF-8, or an integer past the digit limit
+        raise ScenarioParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
@@ -162,7 +163,7 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
         if key not in KNOWN_TOLERANCES:
             raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not np.isfinite(value) or value <= 0):
+                or not 0 < value <= sys.float_info.max):
             raise ScenarioParseError(
                 f"tolerance {key!r} must be a positive finite number, got {value!r}"
             )
@@ -178,11 +179,6 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     obs_re, obs_im = _complex_parts(doc, "observable", (d, d))
     state_re, state_im = _complex_parts(doc, "state", (d,))
 
-    matrix = obs_re + 1j * obs_im
-    if not check_hermitian(matrix, tol=float(tolerances.get("herm", TOL_HERM))):
-        raise ScenarioValidationError(
-            "observable is not Hermitian (re part must be symmetric, im part antisymmetric)"
-        )
     scenario = Scenario(
         dimension=d,
         hbar=hbar,
@@ -198,7 +194,12 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
         tolerances=tolerances,
     )
     try:
+        scenario.observable()
         scenario.state()
+    except NotHermitianError:
+        raise ScenarioValidationError(
+            "observable is not Hermitian (re part must be symmetric, im part antisymmetric)"
+        ) from None
     except OffShellError as exc:
         raise ScenarioValidationError(
             f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"

@@ -294,6 +294,41 @@ class TestDispatch:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"]["type"] == "InvalidArgumentError"
 
+    @pytest.mark.parametrize("command", ["spectrum", "probs", "mean"])
+    def test_overflowing_matrix_norm_exits_2(self, tmp_path, capsys, command):
+        # [[1,1],[1,2]] * 1e154 has finite entries but an infinite Frobenius
+        # norm, which would stop the Jacobi sweep before any rotation
+        big = {"re": [[1e154, 1e154], [1e154, 2e154]], "im": [[0, 0], [0, 0]]}
+        scen = self.write_scenario(tmp_path, observable=big)
+        assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "overflows" in json.loads(lines[0])["error"]["message"]
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_large_finite_matrix_norm_is_solved(self, tmp_path):
+        big = {"re": [[1e150, 1e150], [1e150, 2e150]], "im": [[0, 0], [0, 0]]}
+        scen = self.write_scenario(tmp_path, observable=big)
+        assert main(["spectrum", "--scenario", scen, "--out", str(tmp_path)]) == 0
+        _, _, rows = self.read_csv(tmp_path / "spectrum.csv")
+        golden = (1.5 + np.array([-1, 1]) * np.sqrt(5) / 2) * 1e150
+        assert np.allclose([float(r[1]) for r in rows], golden, rtol=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        scenario_text(hbar=10**400),
+        scenario_text(state={"re": [10**400, 1], "im": [0, 0]}),
+        scenario_text(tolerances={"herm": 10**400}),
+        '{"dimension": ' + "1" * 5000 + "}",
+        b"\xff\xfe not utf-8",
+    ], ids=["huge-hbar", "huge-entry", "huge-tolerance", "long-integer-literal", "bad-utf8"])
+    def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["probs", "--scenario", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ScenarioParseError"
+
     def test_stdout_default(self, tmp_path, capsys):
         scen = self.write_scenario(tmp_path)
         assert main(["probs", "--scenario", scen]) == 0

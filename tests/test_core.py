@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shellqm import (
+    GeneralQuadraticObservable,
     HermitianObservable,
     OscillatorParams,
     PhaseSpacePoint,
@@ -15,6 +16,7 @@ from shellqm import (
 )
 from shellqm.errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     NotHermitianError,
     OffShellError,
     ZeroVectorError,
@@ -209,3 +211,46 @@ class TestHermitianObservable:
 
         with pytest.raises(NotSquareError):
             HermitianObservable(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entry(self, bad, where):
+        m = np.eye(2, dtype=complex)
+        m[where] = bad
+        if where != (0, 0):
+            m[where[::-1]] = np.conj(bad)
+        with pytest.raises(NotHermitianError):
+            HermitianObservable(m)
+        assert not check_hermitian(m)
+
+    def test_large_matrix_is_solved(self):
+        es = eigh(HermitianObservable(np.array([[1, 1], [1, 2]], dtype=complex) * 1e150))
+        golden = (1.5 + np.array([-1, 1]) * np.sqrt(5) / 2) * 1e150
+        assert np.allclose(es.eigenvalues, golden, rtol=1e-12)
+
+    def test_norm_overflow_refused(self):
+        m = np.array([[1, 1], [1, 2]], dtype=complex) * 1e154
+        with pytest.raises(InvalidArgumentError):
+            HermitianObservable(m)
+        with pytest.raises(InvalidArgumentError):
+            eigh(m)
+
+
+class TestGeneralQuadraticObservable:
+    @staticmethod
+    def parts(hermitian=None, anomalous=None):
+        return dict(constant=0.0, linear=np.zeros(2),
+                    hermitian=np.eye(2) if hermitian is None else hermitian,
+                    anomalous=np.zeros((2, 2)) if anomalous is None else anomalous)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["hermitian", "anomalous"])
+    def test_rejects_non_finite_entry(self, bad, part):
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(NotHermitianError):
+            GeneralQuadraticObservable(**self.parts(**{part: m}))
+
+    def test_accepts_finite_parts(self):
+        gen = GeneralQuadraticObservable(**self.parts(anomalous=np.array([[0, 1j], [1j, 0]])))
+        assert gen.dimension == 2

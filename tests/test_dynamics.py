@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,23 @@ class TestFlowNumeric:
     def test_times_and_states_aligned(self, rng):
         s = random_state(2, rng)
         traj = flow_numeric(random_hermitian(2, rng), s, 1.0, steps=10)
-        assert traj.times.shape == (11,)
-        assert len(traj.states) == 11
-        assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert len(traj.states) == 2
+        assert traj.states[0] is s
+
+    def test_memory_does_not_grow_with_steps(self, rng):
+        a, s = random_hermitian(2, rng), random_state(2, rng)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                flow_numeric(a, s, 1.0, steps=steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # warm up lazily allocated interpreter state
+        assert peak(2000) <= peak(20) + 4096
 
     def test_step_cap(self, rng):
         s = random_state(2, rng)

@@ -8,10 +8,10 @@ from shellqm import (
     chi_square,
     config_observable,
     courant_fischer_suite,
+    eigh,
     make_state,
     measure,
     run_trials,
-    spectrum,
     verification_suite,
     verify_mean_value,
 )
@@ -41,7 +41,7 @@ class TestRngStreams:
 class TestRunTrials:
     def test_eigenstate_single_outcome(self, rng):
         obs = random_hermitian(3, rng)
-        es = spectrum(obs)
+        es = eigh(obs)
         s = make_state(es.eigenvectors[:, 0], hbar=1.0)
         table = run_trials(obs, s, 1000, seed=1)
         assert table.counts[0] == 1000
@@ -85,6 +85,15 @@ class TestRunTrials:
         for _ in range(n):
             counts[measure(obs, s, stream).cluster] += 1
         assert np.array_equal(table.counts, counts)
+
+    def test_top_draws_skip_zero_probability_outcome(self, monkeypatch):
+        # probabilities [1 - 5e-11, 0]: draws above their total still tally
+        # on the only possible outcome
+        monkeypatch.setattr(shellqm.experiments, "trial_uniforms",
+                            lambda seed, n: np.full(n, 1.0 - 2.0**-53))
+        s = make_state([np.sqrt(1 - 5e-11), 0], hbar=1.0)
+        table = run_trials(config_observable(2), s, 3, seed=0)
+        assert table.counts.tolist() == [3, 0]
 
 
 class TestChiSquare:
@@ -181,7 +190,7 @@ class TestChiSquare:
 class TestVerifyMeanValue:
     def test_eigenstate_exact(self, rng):
         obs = random_hermitian(3, rng)
-        es = spectrum(obs)
+        es = eigh(obs)
         s = make_state(es.eigenvectors[:, 2], hbar=1.0)
         report = verify_mean_value(obs, s, trials=100, seed=0)
         assert report.passed

@@ -7,17 +7,16 @@ from shellqm import (
     born_probabilities,
     config_observable,
     constrained_min,
+    eigh,
     evaluate_observable,
     make_state,
     mean_value,
     measure,
-    sample_outcome,
-    spectrum,
     states_equal,
     unitary_propagator,
 )
 from shellqm.errors import DimensionMismatchError
-from shellqm.measurement import ProbabilityDistribution
+from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -25,24 +24,24 @@ from conftest import SIGMA_Z, random_hermitian, random_state
 
 class TestSpectrum:
     def test_configuration_outcomes(self):
-        es = spectrum(config_observable(3))
+        es = eigh(config_observable(3))
         assert np.allclose(es.cluster_values(), [1, 2, 3])
         assert es.clusters == ((0,), (1,), (2,))
 
     def test_fully_degenerate(self):
-        es = spectrum(HermitianObservable(np.eye(3, dtype=complex)))
+        es = eigh(HermitianObservable(np.eye(3, dtype=complex)))
         assert es.clusters == ((0, 1, 2),)
         assert np.allclose(es.cluster_values(), [1.0])
 
     def test_sigma_z_outcomes(self):
-        es = spectrum(HermitianObservable(SIGMA_Z))
+        es = eigh(HermitianObservable(SIGMA_Z))
         assert np.allclose(es.cluster_values(), [-1.0, 1.0])
 
 
 class TestBornProbabilities:
     def test_eigenstate_is_certain(self, rng):
         obs = random_hermitian(4, rng)
-        es = spectrum(obs)
+        es = eigh(obs)
         hbar = 1.0
         s = make_state(np.sqrt(hbar) * es.eigenvectors[:, 2], hbar=hbar)
         dist = born_probabilities(obs, s)
@@ -104,7 +103,7 @@ class TestBornProbabilities:
 class TestMeanValue:
     def test_eigenstate_mean_is_eigenvalue(self, rng):
         obs = random_hermitian(3, rng)
-        es = spectrum(obs)
+        es = eigh(obs)
         s = make_state(es.eigenvectors[:, 1], hbar=1.0)
         assert mean_value(obs, s) == pytest.approx(es.eigenvalues[1], abs=1e-10)
 
@@ -135,14 +134,14 @@ class TestConstrainedMin:
 
     def test_sigma_z_second_level(self):
         obs = HermitianObservable(SIGMA_Z)
-        es = spectrum(obs)
+        es = eigh(obs)
         sub = AdmissibleSubspace.for_level(es, 2)
         result = constrained_min(obs, sub, seed=3)
         assert result.eigenvalue == pytest.approx(1.0, abs=1e-8)
 
     def test_configuration_observable_all_levels(self):
         obs = config_observable(4)
-        es = spectrum(obs)
+        es = eigh(obs)
         for n in range(1, 5):
             sub = AdmissibleSubspace.for_level(es, n)
             result = constrained_min(obs, sub, seed=11)
@@ -161,7 +160,7 @@ class TestConstrainedMin:
         for _ in range(10):
             d = int(rng.integers(2, 7))
             obs = random_hermitian(d, rng)
-            es = spectrum(obs)
+            es = eigh(obs)
             for n in range(1, d + 1):
                 sub = AdmissibleSubspace.for_level(es, n)
                 result = constrained_min(obs, sub, seed=int(rng.integers(10**6)))
@@ -193,36 +192,43 @@ class TestAdmissibleSubspace:
             AdmissibleSubspace(level=2, basis=np.array([[1.0], [1.0]], dtype=complex))
 
     def test_level_out_of_range(self, rng):
-        es = spectrum(random_hermitian(3, rng))
+        es = eigh(random_hermitian(3, rng))
         with pytest.raises(ValueError):
             AdmissibleSubspace.for_level(es, 4)
 
 
 class TestSampling:
     def test_certain_outcome(self):
-        dist = ProbabilityDistribution(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]), 3)
-        rng = master_rng(0)
-        assert all(sample_outcome(dist, rng) == 0 for _ in range(100))
+        u = master_rng(0).random(100)
+        assert np.all(outcome_index(np.array([1.0, 0.0, 0.0]), u) == 0)
 
     def test_certain_second_outcome(self):
-        dist = ProbabilityDistribution(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2)
-        rng = master_rng(0)
-        assert all(sample_outcome(dist, rng) == 1 for _ in range(100))
+        u = master_rng(0).random(100)
+        assert np.all(outcome_index(np.array([0.0, 1.0]), u) == 1)
 
     def test_fair_coin_frequency(self):
-        dist = ProbabilityDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 2)
-        rng = master_rng(2026)
         n = 10**5
-        ones = sum(sample_outcome(dist, rng) for _ in range(n))
-        freq = ones / n
+        freq = np.mean(outcome_index(np.array([0.5, 0.5]), master_rng(2026).random(n)))
         assert 0.49 <= freq <= 0.51
         assert 0.49 <= 1 - freq <= 0.51
+
+    def test_scalar_draw_matches_array_draw(self):
+        probs = np.array([0.2, 0.0, 0.5, 0.3])
+        u = master_rng(3).random(64)
+        assert [int(outcome_index(probs, x)) for x in u] == outcome_index(probs, u).tolist()
+
+    def test_top_draw_skips_zero_probability_tail(self):
+        # probabilities of an on-shell state may sum to just below 1; a draw
+        # above that total must still land on an outcome that can occur
+        probs = np.array([0.99999999995, 0.0])
+        assert outcome_index(probs, 1.0 - 2.0**-53) == 0
+        assert outcome_index(probs, np.full(3, 1.0 - 2.0**-53)).tolist() == [0, 0, 0]
 
 
 class TestMeasure:
     def test_repeatability_from_eigenstate(self, rng):
         obs = random_hermitian(3, rng)
-        es = spectrum(obs)
+        es = eigh(obs)
         s = make_state(es.eigenvectors[:, 1], hbar=1.0)
         rec = measure(obs, s, master_rng(1))
         assert rec.cluster == 1
@@ -267,6 +273,18 @@ class TestMeasure:
             rec = measure(obs, s, master_rng(seed))
             got = evaluate_observable(obs, rec.post_state) / s.hbar
             assert abs(got - rec.value) <= 1e-8 * max(1.0, abs(rec.value))
+
+    def test_top_draw_on_short_shell_collapses_onto_possible_outcome(self):
+        # the state's probabilities are [1 - 5e-11, 0]; the largest draw below
+        # 1 must not select the zero-probability outcome
+        class TopDraw:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        s = make_state([np.sqrt(1 - 5e-11), 0], hbar=1.0)
+        rec = measure(config_observable(2), s, TopDraw())
+        assert rec.value == 1.0
+        assert rec.cluster == 0
 
     def test_degenerate_outcome_collapses_within_eigenspace(self, rng):
         # two-fold degenerate block keeps the in-plane direction
