@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dynamics import flow
 from .errors import InvalidArgumentError, ShellQMError
-from .experiments import run_trials, verification_suite
+from .experiments import MAX_TRIALS, run_trials, verification_suite
 from .linalg import eigh
 from .measurement import born_probabilities, mean_value
 from .phasespace import evaluate_observable
@@ -172,8 +172,8 @@ def _parse_tol(pairs: list[str]) -> dict:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    if args.trials is not None and args.trials < 1:
-        raise InvalidArgumentError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
+        raise InvalidArgumentError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     if args.samples < 1:
         raise InvalidArgumentError(f"--samples must be at least 1, got {args.samples}")
     if not np.isfinite(args.time):

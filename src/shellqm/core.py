@@ -9,7 +9,8 @@ a deterministic representative and `states_equal` compares up to phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     ZeroVectorError,
 )
 
-# Double-precision tolerances, chosen with headroom above machine epsilon.
+# Double-precision thresholds, chosen with headroom above machine epsilon.
 TOL_SHELL = 1e-10   # relative, shell norm residual
 TOL_HERM = 1e-12    # absolute, Hermiticity of O(1) entries
 TOL_ZERO = 1e-12    # absolute, "numerically zero" component modulus
@@ -109,7 +110,8 @@ def _hermitian_residual(matrix) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
+        return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
 def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
@@ -122,16 +124,15 @@ class HermitianObservable:
     """Quantum observable: the Hermitian matrix of the form <psi|A|psi>.
 
     The matrix is a read-only private copy of the input, so an instance is
-    immutable and `linalg.eigh` can keep its decomposition on it.  `tol` is
-    the absolute Hermiticity tolerance max |M_nm - conj(M_mn)|.
+    immutable and `linalg.eigh` can keep its decomposition on it.  It must be
+    Hermitian within the fixed TOL_HERM; no override reaches it.
     """
 
     matrix: np.ndarray
-    tol: float = field(default=TOL_HERM, kw_only=True, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if not check_hermitian(m, self.tol):
+        if not check_hermitian(m):
             resid = _hermitian_residual(m)
             raise NotHermitianError(f"matrix is not Hermitian (max residual {resid:.3e})")
         with np.errstate(over="ignore"):  # an overflow is refused, not warned about
@@ -167,8 +168,9 @@ class GeneralQuadraticObservable:
         if not check_hermitian(herm):
             resid = _hermitian_residual(herm)
             raise NotHermitianError(f"hermitian part is not Hermitian (max residual {resid:.3e})")
-        if not np.max(np.abs(anom - anom.T), initial=0.0) <= TOL_HERM:
-            raise NotHermitianError("anomalous part must be symmetric")
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
+            if not np.max(np.abs(anom - anom.T), initial=0.0) <= TOL_HERM:
+                raise NotHermitianError("anomalous part must be symmetric")
         object.__setattr__(self, "linear", _readonly(lin))
         object.__setattr__(self, "hermitian", _readonly(herm))
         object.__setattr__(self, "anomalous", _readonly(anom))
@@ -178,18 +180,28 @@ class GeneralQuadraticObservable:
         return self.linear.shape[0]
 
 
+def _squared_norm(psi: np.ndarray) -> float:
+    """sum |psi_n|^2, refusing a vector whose squared norm overflows."""
+    with np.errstate(over="ignore"):
+        norm_sq = float((np.abs(psi) ** 2).sum())  # the method skips np.sum's dispatch
+    if not math.isfinite(norm_sq):
+        raise InvalidArgumentError("state is too large: its norm overflows")
+    return norm_sq
+
+
 def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
     """Validate `components` against the shell norm and wrap as a StateVector.
 
-    Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar, and
-    DimensionMismatchError on empty input.  Components are stored unchanged.
+    Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar,
+    InvalidArgumentError when that sum overflows, and DimensionMismatchError
+    on empty input.  Components are stored unchanged.
     """
     psi = np.atleast_1d(np.asarray(components, dtype=complex))
     if psi.ndim != 1 or psi.shape[0] == 0:
         raise DimensionMismatchError("state components must be a nonempty 1-d vector")
     if not hbar > 0:
         raise ValueError("hbar must be strictly positive")
-    residual = float(np.sum(np.abs(psi) ** 2)) - hbar
+    residual = _squared_norm(psi) - hbar
     if abs(residual) > tol * hbar:
         raise OffShellError(residual)
     return StateVector(_readonly(psi), float(hbar))
@@ -200,17 +212,17 @@ def project_to_shell(raw, hbar: float) -> StateVector:
     raw = np.atleast_1d(np.asarray(raw, dtype=complex))
     if raw.ndim != 1 or raw.shape[0] == 0:
         raise DimensionMismatchError("input must be a nonempty 1-d vector")
-    norm_sq = float(np.sum(np.abs(raw) ** 2))
-    if np.max(np.abs(raw)) < TOL_ZERO:
+    norm_sq = _squared_norm(raw)
+    if not norm_sq >= np.finfo(float).tiny:  # zero, or too small to rescale: its square underflows
         raise ZeroVectorError("cannot project the zero vector onto the shell")
     return make_state(raw * np.sqrt(hbar / norm_sq), hbar)
 
 
-def phase_fix(components: np.ndarray, tol_zero: float = TOL_ZERO) -> np.ndarray:
+def phase_fix(components: np.ndarray) -> np.ndarray:
     """Rotate a complex vector so its first above-threshold component is real
     and positive.  Keyed on the first such component (not the largest) so the
     representative is stable under small perturbations of other entries."""
-    idx = np.flatnonzero(np.abs(components) > tol_zero)
+    idx = np.flatnonzero(np.abs(components) > TOL_ZERO)
     if idx.size == 0:
         return np.array(components, dtype=complex)
     lead = components[idx[0]]

@@ -21,6 +21,7 @@ from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_uniforms
 
 POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
+MAX_TRIALS = 10**8  # a run's draw table and outcome indices take 16 bytes per trial
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {
@@ -106,8 +107,8 @@ def run_trials(
     byte for byte and a loop of measure() calls over `master_rng(seed)`
     tallies the same counts.
     """
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidArgumentError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dist = born_probabilities(obs, state)
     outcomes = outcome_index(dist.probabilities, trial_uniforms(seed, trials))
     counts = np.bincount(outcomes, minlength=len(dist.probabilities)).astype(np.int64)

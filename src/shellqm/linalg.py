@@ -138,12 +138,13 @@ def _jacobi_eigh(matrix) -> EigenSystem:
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
-    # Exact Hermiticity keeps every rotation exactly unitary.
-    a = 0.5 * (a + a.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        # Exact Hermiticity keeps every rotation exactly unitary.
+        a = 0.5 * (a + a.conj().T)
+        fro = float(np.linalg.norm(a))
     d = a.shape[0]
     v = np.eye(d, dtype=complex)
 
-    fro = float(np.linalg.norm(a))
     if not np.isfinite(fro):
         # An infinite target would stop the sweep before any rotation.
         raise InvalidArgumentError(f"matrix norm is {fro}; the eigensolver needs a finite one")

@@ -130,7 +130,6 @@ def born_probabilities(
     amplitudes = es.eigenvectors.conj().T @ state.components
     weights = np.abs(amplitudes) ** 2 / state.hbar
     probs = np.array([float(np.sum(weights[list(c)])) for c in es.clusters])
-    probs = np.clip(probs, 0.0, None)
     return ProbabilityDistribution(es.cluster_values(), probs, obs.dimension)
 
 

@@ -27,15 +27,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL_HERM, TOL_SHELL, HermitianObservable, StateVector, make_state, project_to_shell
+from .core import (TOL_HERM, TOL_SHELL, HermitianObservable, StateVector, check_hermitian,
+                   make_state, project_to_shell)
 from .errors import NotHermitianError, OffShellError, ScenarioParseError, ScenarioValidationError
+from .experiments import MAX_TRIALS
 
 KNOWN_TOLERANCES = ("shell", "herm")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated measurement setup: dimensions, observable, prepared state."""
+    """Validated measurement setup: dimensions, observable, prepared state.
+
+    `tolerances` only decide admission; the core gets the Hermitian part and the on-shell state."""
 
     dimension: int
     hbar: float
@@ -51,16 +55,18 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def observable(self) -> HermitianObservable:
-        return HermitianObservable(
-            self.observable_re + 1j * self.observable_im,
-            tol=self.tolerances.get("herm", TOL_HERM),
-        )
+        m = self.observable_re + 1j * self.observable_im
+        if not check_hermitian(m, self.tolerances.get("herm", TOL_HERM)):
+            raise NotHermitianError("observable is not Hermitian (re part must be symmetric, "
+                                    "im part antisymmetric)")
+        # (M + M^H) / 2, halved before the sum so it cannot overflow; Hermitian input is kept as is
+        return HermitianObservable(m if check_hermitian(m, 0.0) else 0.5 * m + 0.5 * m.conj().T)
 
     def state(self) -> StateVector:
         raw = self.state_re + 1j * self.state_im
-        if self.normalize:
-            return project_to_shell(raw, self.hbar)
-        return make_state(raw, self.hbar, tol=self.tolerances.get("shell", TOL_SHELL))
+        if not self.normalize:
+            make_state(raw, self.hbar, tol=self.tolerances.get("shell", TOL_SHELL))
+        return project_to_shell(raw, self.hbar)
 
     def to_dict(self) -> dict:
         doc = {
@@ -139,7 +145,7 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     ScenarioParseError carries the line/field context of a malformed document;
     ScenarioValidationError flags a well-formed one that violates the model
     constraints (non-Hermitian observable, off-shell state without normalize,
-    non-positive dimension/hbar/trials).
+    non-positive dimension/hbar, trials outside 1..MAX_TRIALS).
     """
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
@@ -173,8 +179,8 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     for name, value in (("hbar", hbar), ("mass", mass), ("omega", omega)):
         if not np.isfinite(value) or value <= 0:
             raise ScenarioValidationError(f"{name} must be positive and finite, got {value}")
-    if trials < 1:
-        raise ScenarioValidationError(f"trials must be positive, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ScenarioValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
 
     obs_re, obs_im = _complex_parts(doc, "observable", (d, d))
     state_re, state_im = _complex_parts(doc, "state", (d,))
@@ -196,10 +202,6 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     try:
         scenario.observable()
         scenario.state()
-    except NotHermitianError:
-        raise ScenarioValidationError(
-            "observable is not Hermitian (re part must be symmetric, im part antisymmetric)"
-        ) from None
     except OffShellError as exc:
         raise ScenarioValidationError(
             f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shellqm.cli import main
+import shellqm.experiments
+import shellqm.rng
+from shellqm.cli import COMMANDS, main
 from shellqm.errors import ScenarioParseError, ScenarioValidationError
+from shellqm.experiments import MAX_TRIALS
 from shellqm.scenario import parse_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -111,6 +114,36 @@ class TestParseScenario:
         text = scenario_text(tolerances={"shell": 1e-8, "herm": 1e-9})
         scenario = parse_scenario(text, overrides={"shell": 1e-3})
         assert scenario.tolerances == {"shell": 1e-3, "herm": 1e-9}
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
+    def test_trials_above_cap_rejected(self, trials):
+        with pytest.raises(ScenarioValidationError, match="trials"):
+            parse_scenario(scenario_text(trials=trials))
+
+    def test_observable_is_exact_hermitian_part(self):
+        m = np.array([[1, 1e-7 + 2e-8j], [3e-8, 2]])
+        scenario = parse_scenario(
+            scenario_text(observable={"re": m.real.tolist(), "im": m.imag.tolist()}),
+            overrides={"herm": 1e-6},
+        )
+        matrix = scenario.observable().matrix
+        assert np.array_equal(matrix, matrix.conj().T)
+        assert np.array_equal(matrix, (m + m.conj().T) / 2)
+
+    def test_hermitian_observable_kept_bit_for_bit(self):
+        # a signed zero and a subnormal survive, which halving each entry would not
+        m = np.array([[-0.0, 5e-324 - 0.25j], [5e-324 + 0.25j, 1.0]])
+        scenario = parse_scenario(
+            scenario_text(observable={"re": m.real.tolist(), "im": m.imag.tolist()})
+        )
+        built = scenario.observable_re + 1j * scenario.observable_im
+        assert scenario.observable().matrix.tobytes() == built.tobytes()
+
+    def test_loose_state_reaches_the_core_on_shell(self):
+        r = float(np.sqrt(0.5))
+        doc = scenario_text(normalize=False, state={"re": [r + 1e-6, r], "im": [0, 0]})
+        state = parse_scenario(doc, overrides={"shell": 1e-3}).state()
+        assert abs(state.norm_squared() - 1.0) <= 1e-15
 
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))
@@ -254,20 +287,98 @@ class TestDispatch:
             tmp_path, normalize=False, state={"re": [r, float(np.sqrt(0.5))], "im": [0, 0]}
         )
         assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 2
-        assert main([
-            "probs", "--scenario", scen, "--out", str(tmp_path), "--tol", "shell=1e-3",
-        ]) == 0
+        for command in COMMANDS:
+            assert main([
+                command, "--scenario", scen, "--out", str(tmp_path), "--tol", "shell=1e-3",
+            ]) == 0, command
 
     def test_tol_override_allows_loose_herm(self, tmp_path):
         scen = self.write_scenario(
             tmp_path, observable={"re": [[1, 1e-9], [0, 2]], "im": [[0, 0], [0, 0]]}
         )
         assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 2
-        assert main([
-            "probs", "--scenario", scen, "--out", str(tmp_path), "--tol", "herm=1e-6",
-        ]) == 0
+        for command in COMMANDS:
+            assert main([
+                command, "--scenario", scen, "--out", str(tmp_path), "--tol", "herm=1e-6",
+            ]) == 0, command
         _, _, rows = self.read_csv(tmp_path / "probs.csv")
         assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+    def test_loose_shell_state_is_projected_before_use(self, tmp_path, capsys):
+        # admitted at shell=1e-3 but off the shell by 1.2e-4: the core sees
+        # the projected state, so probabilities sum to 1 and flow accepts it
+        scen = self.write_scenario(
+            tmp_path, normalize=False, state={"re": [0.7072, 0.7071], "im": [0, 0]}
+        )
+        for command in ("probs", "evolve", "verify"):
+            assert main([command, "--scenario", scen, "--out", str(tmp_path),
+                         "--tol", "shell=1e-3"]) == 0, command
+        assert capsys.readouterr().err == ""
+        _, _, rows = self.read_csv(tmp_path / "probs.csv")
+        assert abs(sum(float(r[1]) for r in rows) - 1.0) <= 1e-12
+
+    def test_loose_herm_observable_is_symmetrised_before_use(self, tmp_path, capsys):
+        # admitted at herm=1e-6; its anti-Hermitian part would leave an
+        # imaginary residue of 3.3e-8 in the observable's value at this state
+        scen = self.write_scenario(
+            tmp_path, observable={"re": [[1, 1e-7], [0, 2]], "im": [[0, 0], [0, 0]]},
+            state={"re": [1, 1], "im": [0, 1]},
+        )
+        for command in ("mean", "verify"):
+            assert main([command, "--scenario", scen, "--out", str(tmp_path),
+                         "--tol", "herm=1e-6"]) == 0, command
+        assert capsys.readouterr().err == ""
+        _, _, rows = self.read_csv(tmp_path / "mean.csv")
+        assert abs(float(rows[0][2])) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["probs", "sample"])
+    def test_zero_state_under_loose_shell_exits_2(self, tmp_path, capsys, command):
+        scen = self.write_scenario(
+            tmp_path, normalize=False, state={"re": [0, 0], "im": [0, 0]}
+        )
+        assert main([command, "--scenario", scen, "--out", str(tmp_path),
+                     "--tol", "shell=1e300"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "zero vector" in json.loads(lines[0])["error"]["message"]
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_state_on_a_tiny_shell_is_admitted(self, tmp_path, normalize):
+        scen = self.write_scenario(
+            tmp_path, hbar=1e-30, normalize=normalize, state={"re": [1e-15, 0], "im": [0, 0]}
+        )
+        assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 0
+        _, _, rows = self.read_csv(tmp_path / "probs.csv")
+        assert [float(r[1]) for r in rows] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
+    def test_trials_above_cap_exit_2_without_drawing(self, tmp_path, capsys, monkeypatch,
+                                                      trials):
+        def refuse(seed, n):
+            raise AssertionError("no trial may be drawn")
+
+        monkeypatch.setattr(shellqm.rng, "trial_uniforms", refuse)
+        monkeypatch.setattr(shellqm.experiments, "trial_uniforms", refuse)
+        scen = self.write_scenario(tmp_path)
+        for command in ("sample", "verify"):
+            assert main([command, "--scenario", scen, "--trials", str(trials)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["type"] == "InvalidArgumentError"
+        scen = self.write_scenario(tmp_path, trials=trials)
+        assert main(["sample", "--scenario", scen]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_overflowing_state_norm_exits_2(self, tmp_path, capsys, normalize):
+        scen = self.write_scenario(
+            tmp_path, normalize=normalize, state={"re": [1e300, 1], "im": [0, 0]}
+        )
+        assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "overflows" in json.loads(lines[0])["error"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--trials", "0"],
@@ -294,11 +405,15 @@ class TestDispatch:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"]["type"] == "InvalidArgumentError"
 
-    @pytest.mark.parametrize("command", ["spectrum", "probs", "mean"])
-    def test_overflowing_matrix_norm_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, big", [
+        pytest.param(command, [[1e154, 1e154], [1e154, 2e154]], id=command)
+        for command in ("spectrum", "probs", "mean")
+    ] + [pytest.param("probs", [[0, 1e308], [1e308, 0]], id="probs-1e308")])
+    def test_overflowing_matrix_norm_exits_2(self, tmp_path, capsys, command, big):
         # [[1,1],[1,2]] * 1e154 has finite entries but an infinite Frobenius
-        # norm, which would stop the Jacobi sweep before any rotation
-        big = {"re": [[1e154, 1e154], [1e154, 2e154]], "im": [[0, 0], [0, 0]]}
+        # norm, which would stop the Jacobi sweep before any rotation; near
+        # 1e308 the scenario's symmetrisation itself must not overflow
+        big = {"re": big, "im": [[0, 0], [0, 0]]}
         scen = self.write_scenario(tmp_path, observable=big)
         assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.splitlines()

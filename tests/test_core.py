@@ -105,6 +105,21 @@ class TestProjectToShell:
             s = project_to_shell(raw, hbar)
             make_state(s.components, hbar)  # must not raise
 
+    def test_tiny_vector_on_a_tiny_shell(self):
+        # the zero test is scale-free: an on-shell state at hbar = 1e-30 has
+        # components far below 1e-12 and must still project
+        s = project_to_shell([1e-15, 0], hbar=1e-30)
+        assert abs(s.norm_squared() - 1e-30) <= 1e-40
+
+    def test_vector_whose_square_underflows_is_zero(self):
+        with pytest.raises(ZeroVectorError):
+            project_to_shell([1e-200, 0], hbar=1.0)
+
+    @pytest.mark.parametrize("build", [project_to_shell, make_state])
+    def test_overflowing_norm_refused(self, build):
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            build([1e300, 1], hbar=1.0)
+
 
 class TestCanonicalPhase:
     def test_rotates_leading_imaginary(self):

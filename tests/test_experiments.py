@@ -16,7 +16,13 @@ from shellqm import (
     verify_mean_value,
 )
 from shellqm.errors import InsufficientTrialsError, InvalidArgumentError
-from shellqm.experiments import CHI2_999, FrequencyTable, chi2_threshold_999, courant_fischer_report
+from shellqm.experiments import (
+    CHI2_999,
+    MAX_TRIALS,
+    FrequencyTable,
+    chi2_threshold_999,
+    courant_fischer_report,
+)
 from shellqm.rng import master_rng, trial_uniforms
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -85,6 +91,16 @@ class TestRunTrials:
         for _ in range(n):
             counts[measure(obs, s, stream).cluster] += 1
         assert np.array_equal(table.counts, counts)
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
+    def test_trials_above_cap_refused_before_drawing(self, monkeypatch, trials):
+        def refuse(seed, n):
+            raise AssertionError("no trial may be drawn")
+
+        monkeypatch.setattr(shellqm.experiments, "trial_uniforms", refuse)
+        obs, state = equal_weight_scenario()
+        with pytest.raises(InvalidArgumentError, match="trials"):
+            run_trials(obs, state, trials, seed=0)
 
     def test_top_draws_skip_zero_probability_outcome(self, monkeypatch):
         # probabilities [1 - 5e-11, 0]: draws above their total still tally

@@ -1,6 +1,7 @@
 """Property-based tests: Born probabilities and the shared sampler over
-random Hermitian matrices and shell states, and the CLI's exit-code contract
-over fuzzed scenario documents."""
+random Hermitian matrices and shell states, the CLI's exit-code contract
+over fuzzed scenario documents, and loose tolerance overrides that admit a
+scenario and then never fail it."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
+from shellqm.scenario import parse_scenario
 
 TOP_DRAW = 1.0 - 2.0**-53  # the largest double below 1
 
@@ -134,3 +136,51 @@ def test_cli_exit_codes_on_fuzzed_scenarios(tmp_path_factory, doc, command, extr
     if code == 2:
         diagnostic = json.loads(err.getvalue().splitlines()[-1])
         assert set(diagnostic["error"]) == {"type", "message"}
+
+
+# ------------------------------------------------- loose tolerance overrides
+
+log_tolerances = st.floats(-10.0, -2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def loosely_admitted_documents(draw):
+    """A Hermitian matrix (d = 1..4) plus anti-Hermitian noise of residual up
+    to half of `herm`, and a state off the shell by up to half of `shell`,
+    with `normalize: false`."""
+    d = draw(st.integers(1, 4))
+    herm, shell = draw(log_tolerances), draw(log_tolerances)
+    hbar = draw(hbars)
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    noise = g - g.conj().T  # anti-Hermitian: M + noise has residual 2 |noise|
+    scale = draw(st.floats(0.0, 0.5)) * herm / (2.0 * max(np.max(np.abs(noise)), 1e-300))
+    m = 0.5 * (g + g.conj().T) + scale * noise
+    raw = rng.normal(size=d) + 1j * rng.normal(size=d)
+    off = draw(st.floats(-0.5, 0.5)) * shell
+    psi = raw * np.sqrt(hbar * (1.0 + off)) / np.linalg.norm(raw)
+    doc = {
+        "dimension": d,
+        "hbar": hbar,
+        "observable": {"re": m.real.tolist(), "im": m.imag.tolist()},
+        "state": {"re": psi.real.tolist(), "im": psi.imag.tolist()},
+        "normalize": False,
+        "tolerances": {"herm": herm, "shell": shell},
+    }
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loosely_admitted_documents())
+def test_admitted_scenario_runs_under_loose_tolerances(tmp_path_factory, text):
+    parse_scenario(text)
+    path = tmp_path_factory.mktemp("loose") / "scenario.json"
+    path.write_text(text)
+    for command in ("probs", "mean", "evolve"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(path), "--samples", "2",
+                         "--format", "structured"])
+        assert (code, err.getvalue()) == (0, ""), command
+        if command == "probs":
+            assert abs(sum(json.loads(out.getvalue())["probabilities"]) - 1.0) <= 1e-12
