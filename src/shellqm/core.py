@@ -26,7 +26,7 @@ from .errors import (
 # Double-precision thresholds, chosen with headroom above machine epsilon.
 TOL_SHELL = 1e-10   # relative, shell norm residual
 TOL_HERM = 1e-12    # absolute, Hermiticity of O(1) entries
-TOL_ZERO = 1e-12    # absolute, "numerically zero" component modulus
+TOL_ZERO = 1e-12    # relative, "numerically zero" component modulus
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -181,10 +181,12 @@ class GeneralQuadraticObservable:
 
 
 def _squared_norm(psi: np.ndarray) -> float:
-    """sum |psi_n|^2, refusing a vector whose squared norm overflows."""
+    """sum |psi_n|^2, refusing a non-finite entry and a sum that overflows."""
     with np.errstate(over="ignore"):
         norm_sq = float((np.abs(psi) ** 2).sum())  # the method skips np.sum's dispatch
     if not math.isfinite(norm_sq):
+        if not np.isfinite(psi).all():
+            raise InvalidArgumentError("state has a non-finite component")
         raise InvalidArgumentError("state is too large: its norm overflows")
     return norm_sq
 
@@ -193,8 +195,8 @@ def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
     """Validate `components` against the shell norm and wrap as a StateVector.
 
     Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar,
-    InvalidArgumentError when that sum overflows, and DimensionMismatchError
-    on empty input.  Components are stored unchanged.
+    InvalidArgumentError on a non-finite component or an overflowing sum,
+    and DimensionMismatchError on empty input.  Components are stored unchanged.
     """
     psi = np.atleast_1d(np.asarray(components, dtype=complex))
     if psi.ndim != 1 or psi.shape[0] == 0:
@@ -219,10 +221,10 @@ def project_to_shell(raw, hbar: float) -> StateVector:
 
 
 def phase_fix(components: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector so its first above-threshold component is real
+    """Rotate a vector so its first component above TOL_ZERO * ||v||_2 is real
     and positive.  Keyed on the first such component (not the largest) so the
     representative is stable under small perturbations of other entries."""
-    idx = np.flatnonzero(np.abs(components) > TOL_ZERO)
+    idx = np.flatnonzero(np.abs(components) > TOL_ZERO * np.linalg.norm(components))
     if idx.size == 0:
         return np.array(components, dtype=complex)
     lead = components[idx[0]]

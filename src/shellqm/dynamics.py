@@ -55,20 +55,17 @@ def flow(a: HermitianObservable, psi0: StateVector, t: float) -> StateVector:
     return make_state(u @ psi0.components, psi0.hbar)
 
 
-def _velocity(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return -1j * (matrix @ psi)
-
-
 def flow_numeric(
     a: HermitianObservable, psi0: StateVector, t: float, steps: int
 ) -> Trajectory:
-    """Fixed-step classical RK4 integration of psi-dot = -i A psi.
+    """Fixed-step classical RK4 integration of psi-dot = -i A psi, built from
+    `a.matrix` alone as an independent cross-check of `flow`.
 
-    An independent cross-check of `flow`: the final state converges to it at
-    fourth order in t/steps.  Every step's state is revalidated against the
-    shell at the loose tolerance RK4_SHELL_TOL, so norm drift raises rather
-    than passing silently.  Only the endpoints (0, psi0) and (t, final) are
-    kept, so memory does not grow with `steps`.
+    For this linear ODE one RK4 step is exactly the matrix P = I + hM + (hM)^2/2
+    + (hM)^3/6 + (hM)^4/24, M = -iA, h = t/steps, formed once in Horner form.
+    Every step's state is checked against the shell at RK4_SHELL_TOL, so drift
+    raises: a scalar screen at half that bound passes it, and `make_state`
+    decides any step the screen does not.  Only the endpoints are kept.
     """
     if a.dimension != psi0.dimension:
         raise DimensionMismatchError(
@@ -79,17 +76,18 @@ def flow_numeric(
     if steps > MAX_STEPS:
         raise StepCountError(f"steps {steps} exceeds the cap of {MAX_STEPS}")
 
-    m = a.matrix
-    h = t / steps
-    psi = psi0.components.astype(complex)
+    hm = (-1j * t / steps) * a.matrix
+    eye = np.eye(a.dimension)
+    step = eye
+    for k in (4, 3, 2, 1):  # I + hM(I + hM/2(I + hM/3(I + hM/4)))
+        step = eye + (hm / k) @ step
+    hbar = psi0.hbar
+    psi = psi0.components
     for _ in range(steps):
-        k1 = _velocity(m, psi)
-        k2 = _velocity(m, psi + 0.5 * h * k1)
-        k3 = _velocity(m, psi + 0.5 * h * k2)
-        k4 = _velocity(m, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        final = make_state(psi, psi0.hbar, tol=RK4_SHELL_TOL)
-    return Trajectory(np.array([0.0, t]), (psi0, final))
+        psi = step @ psi
+        if not abs(np.vdot(psi, psi).real - hbar) <= 0.5 * RK4_SHELL_TOL * hbar:  # NaN fails too
+            make_state(psi, hbar, tol=RK4_SHELL_TOL)
+    return Trajectory(np.array([0.0, t]), (psi0, make_state(psi, hbar, tol=RK4_SHELL_TOL)))
 
 
 def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_uniforms
 
 POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
-MAX_TRIALS = 10**8  # a run's draw table and outcome indices take 16 bytes per trial
+MAX_TRIALS = 10**8  # a run peaks near 24 B/trial: draws, outcome indices, their clamped copy
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {

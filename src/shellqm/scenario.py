@@ -39,7 +39,8 @@ KNOWN_TOLERANCES = ("shell", "herm")
 class Scenario:
     """Validated measurement setup: dimensions, observable, prepared state.
 
-    `tolerances` only decide admission; the core gets the Hermitian part and the on-shell state."""
+    `tolerances` only decide admission; the core gets the Hermitian part and the on-shell state.
+    Each is built on first call and kept, so every later call returns that same instance."""
 
     dimension: int
     hbar: float
@@ -55,18 +56,26 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def observable(self) -> HermitianObservable:
+        if "_observable" in self.__dict__:
+            return self.__dict__["_observable"]
         m = self.observable_re + 1j * self.observable_im
         if not check_hermitian(m, self.tolerances.get("herm", TOL_HERM)):
             raise NotHermitianError("observable is not Hermitian (re part must be symmetric, "
                                     "im part antisymmetric)")
         # (M + M^H) / 2, halved before the sum so it cannot overflow; Hermitian input is kept as is
-        return HermitianObservable(m if check_hermitian(m, 0.0) else 0.5 * m + 0.5 * m.conj().T)
+        obs = HermitianObservable(m if check_hermitian(m, 0.0) else 0.5 * m + 0.5 * m.conj().T)
+        object.__setattr__(self, "_observable", obs)
+        return obs
 
     def state(self) -> StateVector:
+        if "_state" in self.__dict__:
+            return self.__dict__["_state"]
         raw = self.state_re + 1j * self.state_im
         if not self.normalize:
             make_state(raw, self.hbar, tol=self.tolerances.get("shell", TOL_SHELL))
-        return project_to_shell(raw, self.hbar)
+        state = project_to_shell(raw, self.hbar)
+        object.__setattr__(self, "_state", state)
+        return state
 
     def to_dict(self) -> dict:
         doc = {
@@ -199,7 +208,7 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
         trials=trials,
         tolerances=tolerances,
     )
-    try:
+    try:  # the instances built here are the ones every later call returns
         scenario.observable()
         scenario.state()
     except OffShellError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 import shellqm.experiments
 import shellqm.rng
+import shellqm.scenario
 from shellqm.cli import COMMANDS, main
+from shellqm.core import TOL_HERM
 from shellqm.errors import ScenarioParseError, ScenarioValidationError
 from shellqm.experiments import MAX_TRIALS
 from shellqm.scenario import parse_scenario
@@ -144,6 +147,20 @@ class TestParseScenario:
         doc = scenario_text(normalize=False, state={"re": [r + 1e-6, r], "im": [0, 0]})
         state = parse_scenario(doc, overrides={"shell": 1e-3}).state()
         assert abs(state.norm_squared() - 1.0) <= 1e-15
+
+    def test_parse_keeps_the_instances_it_admits(self):
+        scenario = parse_scenario(scenario_text())
+        assert scenario.observable() is scenario.observable()
+        assert scenario.state() is scenario.state()
+
+    def test_direct_scenario_builds_on_first_call(self):
+        parsed = parse_scenario(scenario_text())
+        direct = dataclasses.replace(parsed)
+        assert direct.observable() is not parsed.observable()
+        assert direct.observable() is direct.observable()
+        assert direct.state() is direct.state()
+        assert np.array_equal(direct.observable().matrix, parsed.observable().matrix)
+        assert np.array_equal(direct.state().components, parsed.state().components)
 
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))
@@ -342,6 +359,25 @@ class TestDispatch:
         assert len(lines) == 1
         assert "zero vector" in json.loads(lines[0])["error"]["message"]
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_scenario_admitted_once_per_command(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, *args[1:]))
+                return fn(*args)
+            return wrapper
+
+        for name in ("check_hermitian", "project_to_shell"):
+            monkeypatch.setattr(shellqm.scenario, name,
+                                counted(name, getattr(shellqm.scenario, name)))
+        scen = self.write_scenario(tmp_path)
+        assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 0
+        # the admission test at `herm`, the exactness test, and one projection
+        assert calls == [("check_hermitian", TOL_HERM), ("check_hermitian", 0.0),
+                         ("project_to_shell", 1.0)]
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_state_on_a_tiny_shell_is_admitted(self, tmp_path, normalize):

@@ -120,6 +120,12 @@ class TestProjectToShell:
         with pytest.raises(InvalidArgumentError, match="overflows"):
             build([1e300, 1], hbar=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+    @pytest.mark.parametrize("build", [project_to_shell, make_state])
+    def test_non_finite_component_refused(self, build, bad):
+        with pytest.raises(InvalidArgumentError, match="non-finite component"):
+            build([bad, 1], hbar=1.0)
+
 
 class TestCanonicalPhase:
     def test_rotates_leading_imaginary(self):
@@ -136,6 +142,18 @@ class TestCanonicalPhase:
         s = make_state([0, (1 + 1j) / np.sqrt(2) * np.sqrt(hbar)], hbar=hbar)
         fixed = canonical_phase(s)
         assert np.allclose(fixed.components, [0, np.sqrt(hbar)], atol=1e-14)
+
+    def test_rotates_on_a_tiny_shell(self):
+        # every component is below TOL_ZERO = 1e-12; the threshold scales with the norm
+        s = make_state([1e-15j, 0], hbar=1e-30)
+        assert np.array_equal(canonical_phase(s).components, [1e-15, 0])
+
+    def test_commutes_with_rescaling(self, rng):
+        for hbar in (1e-30, 1e30):
+            s = random_state(int(rng.integers(1, 7)), rng)
+            scaled = make_state(s.components * np.sqrt(hbar), hbar)
+            assert np.allclose(canonical_phase(scaled).components / np.sqrt(hbar),
+                               canonical_phase(s).components, rtol=0, atol=1e-15)
 
     def test_idempotent_and_norm_preserving(self, rng):
         for _ in range(100):

@@ -15,7 +15,9 @@ from shellqm import (
     shell_defect,
     states_equal,
 )
-from shellqm.errors import StepCountError
+from shellqm import dynamics, linalg
+from shellqm.dynamics import RK4_SHELL_TOL
+from shellqm.errors import OffShellError, StepCountError
 
 from conftest import SIGMA_X, random_hermitian, random_state
 
@@ -32,6 +34,22 @@ def rk4_step(gen, psi, h):
     k3 = general_velocity(gen, psi + 0.5 * h * k2)
     k4 = general_velocity(gen, psi + h * k3)
     return psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def staged_rk4(matrix: np.ndarray, psi: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """Classical four-stage RK4 for psi-dot = -i A psi, with no shell check:
+    the oracle for `flow_numeric`'s step matrix."""
+    d = matrix.shape[0]
+    gen = GeneralQuadraticObservable(0.0, np.zeros(d), matrix, np.zeros((d, d)))
+    for _ in range(steps):
+        psi = rk4_step(gen, psi, t / steps)
+    return psi
+
+
+def rk4_norm_factor(y: float) -> float:
+    """|R(-iy)|^2 = 1 - y^6/72 + y^8/576: the factor one RK4 step of size h
+    applies to |c|^2 along an eigenvector of A with eigenvalue y/h."""
+    return 1.0 - y**6 / 72.0 + y**8 / 576.0
 
 
 class TestFlow:
@@ -140,6 +158,58 @@ class TestFlowNumeric:
 
         peak(20)  # warm up lazily allocated interpreter state
         assert peak(2000) <= peak(20) + 4096
+
+    def test_matches_staged_rk4(self, rng):
+        for _ in range(60):
+            d = int(rng.integers(1, 9))
+            hbar = (1e-30, 1.0, 1e30)[int(rng.integers(3))]
+            a = random_hermitian(d, rng)
+            a = HermitianObservable(a.matrix / np.linalg.norm(a.matrix))
+            s = random_state(d, rng, hbar)
+            # |h a_n| <= 0.1 keeps the drift of every step far inside RK4_SHELL_TOL
+            t, steps = float(rng.uniform(-3, 3)), int(rng.integers(30, 400))
+            want = staged_rk4(a.matrix, s.components, t, steps)
+            got = flow_numeric(a, s, t, steps).final.components
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.sqrt(hbar)
+
+    def test_every_step_is_checked(self):
+        # weights chosen so that 40 unit steps return the norm to the shell
+        # exactly, after the first step has already left it by 2.1e-4
+        r1, r2 = rk4_norm_factor(0.5), rk4_norm_factor(2.9)
+        w2 = (1 - r1**40) / (r2**40 - r1**40)
+        a = HermitianObservable(np.diag([0.5, 2.9]).astype(complex))
+        s = make_state([np.sqrt(1 - w2), np.sqrt(w2)], hbar=1.0)
+        end = staged_rk4(a.matrix, s.components, 40.0, 40)
+        assert abs(np.vdot(end, end).real - 1.0) <= 1e-13
+        with pytest.raises(OffShellError) as err:
+            flow_numeric(a, s, 40.0, 40)
+        assert err.value.residual == pytest.approx(-2.102e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("y, passes", [(0.2, True), (0.21, False)])
+    def test_step_drift_is_judged_at_the_shell_tolerance(self, y, passes):
+        # one step loses 1 - r(y): 8.8e-7 at y = 0.2, between the screen's
+        # half bound and RK4_SHELL_TOL, so make_state must accept it; 1.2e-6
+        # at y = 0.21, beyond the bound
+        drift = 1.0 - rk4_norm_factor(y)
+        assert (drift <= RK4_SHELL_TOL) == passes and drift > 0.5 * RK4_SHELL_TOL
+        a, s = HermitianObservable(np.array([[1.0 + 0j]])), make_state([1.0], hbar=1.0)
+        if passes:
+            final = flow_numeric(a, s, y, steps=1).final
+            assert final.norm_squared() - 1.0 == pytest.approx(-drift, rel=1e-6)
+        else:
+            with pytest.raises(OffShellError):
+                flow_numeric(a, s, y, steps=1)
+
+    def test_independent_of_the_eigensolver(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("flow_numeric must not decompose its generator")
+
+        monkeypatch.setattr(linalg, "_jacobi_eigh", refuse)
+        monkeypatch.setattr(linalg, "unitary_propagator", refuse)
+        monkeypatch.setattr(dynamics, "unitary_propagator", refuse)
+        s = random_state(4, rng)
+        traj = flow_numeric(random_hermitian(4, rng), s, 1.0, steps=100)
+        assert abs(traj.final.norm_squared() - s.hbar) <= RK4_SHELL_TOL * s.hbar
 
     def test_step_cap(self, rng):
         s = random_state(2, rng)
