@@ -11,6 +11,7 @@ from .core import (
     PhaseSpacePoint,
     StateVector,
     canonical_phase,
+    check_hermitian,
     config_observable,
     make_state,
     project_to_shell,
@@ -26,7 +27,7 @@ from .experiments import (
     verification_suite,
     verify_mean_value,
 )
-from .linalg import EigenSystem, check_hermitian, commutator, eigh, unitary_propagator
+from .linalg import EigenSystem, commutator, eigh, unitary_propagator
 from .measurement import (
     AdmissibleSubspace,
     MeasurementRecord,

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import require_positive_int
 from .dynamics import flow
 from .errors import InvalidArgumentError, ShellQMError
 from .experiments import MAX_TRIALS, run_trials, verification_suite
@@ -174,8 +175,7 @@ def _parse_tol(pairs: list[str]) -> dict:
 def _check_ranges(args: argparse.Namespace) -> None:
     if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
         raise InvalidArgumentError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
-    if args.samples < 1:
-        raise InvalidArgumentError(f"--samples must be at least 1, got {args.samples}")
+    require_positive_int(args.samples, "--samples")
     if not np.isfinite(args.time):
         raise InvalidArgumentError(f"--time must be finite, got {args.time}")
 

@@ -10,6 +10,8 @@ a deterministic representative and `states_equal` compares up to phase.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def require_positive(value, name: str) -> None:
+    """Refuse a `value` that is not a positive finite real number (a bool is not
+    one): the package's one rule for hbar, mass, omega, tolerances and step sizes."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value <= sys.float_info.max):  # NaN fails too
+        raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def require_positive_int(value, name: str) -> None:
+    """Refuse a `value` that is not an integer of at least 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidArgumentError(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_dim(actual: int, expected: int, what: str) -> None:
+    """Refuse an operand whose dimension differs from the one it must match."""
+    if actual != expected:
+        raise DimensionMismatchError(f"{what}: dimension {actual} does not match {expected}")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Parameters of the d-dimensional oscillator model.
@@ -48,11 +70,9 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+        require_positive_int(self.dimension, "dimension")
         for name in ("mass", "omega", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            require_positive(getattr(self, name), name)
 
     @property
     def energy(self) -> float:
@@ -119,22 +139,32 @@ def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
     return _hermitian_residual(matrix) <= tol
 
 
+def hermitian_part(matrix, tol: float = TOL_HERM) -> np.ndarray:
+    """Exact Hermitian part (M + M^H) / 2, halved before the sum so it cannot overflow, of
+    a matrix within `tol` of Hermitian (NotHermitianError otherwise, and for a NaN or inf
+    entry).  An exactly Hermitian matrix is returned as is, signed zeros included."""
+    m = np.asarray(matrix, dtype=complex)
+    resid = _hermitian_residual(m)
+    if resid == 0.0:
+        return m
+    if not resid <= tol:
+        raise NotHermitianError(f"matrix is not Hermitian (max residual {resid:.3e})")
+    return 0.5 * m + 0.5 * m.conj().T
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
     """Quantum observable: the Hermitian matrix of the form <psi|A|psi>.
 
-    The matrix is a read-only private copy of the input, so an instance is
-    immutable and `linalg.eigh` can keep its decomposition on it.  It must be
-    Hermitian within the fixed TOL_HERM; no override reaches it.
+    The input must be Hermitian within the fixed TOL_HERM (no override reaches it)
+    and have a finite norm.  The matrix is a read-only copy of its exact Hermitian
+    part, so an instance is immutable and `linalg.eigh` can keep its decomposition.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if not check_hermitian(m):
-            resid = _hermitian_residual(m)
-            raise NotHermitianError(f"matrix is not Hermitian (max residual {resid:.3e})")
+        m = hermitian_part(np.array(self.matrix, dtype=complex))
         with np.errstate(over="ignore"):  # an overflow is refused, not warned about
             if not np.isfinite(np.linalg.norm(m)):
                 raise InvalidArgumentError("observable matrix is too large: its norm overflows")
@@ -165,9 +195,7 @@ class GeneralQuadraticObservable:
                 f"linear part has length {d} but matrices have shapes "
                 f"{herm.shape} and {anom.shape}"
             )
-        if not check_hermitian(herm):
-            resid = _hermitian_residual(herm)
-            raise NotHermitianError(f"hermitian part is not Hermitian (max residual {resid:.3e})")
+        herm = hermitian_part(herm)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
             if not np.max(np.abs(anom - anom.T), initial=0.0) <= TOL_HERM:
                 raise NotHermitianError("anomalous part must be symmetric")
@@ -194,15 +222,14 @@ def _squared_norm(psi: np.ndarray) -> float:
 def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
     """Validate `components` against the shell norm and wrap as a StateVector.
 
-    Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar,
-    InvalidArgumentError on a non-finite component or an overflowing sum,
-    and DimensionMismatchError on empty input.  Components are stored unchanged.
+    Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar, InvalidArgumentError
+    on a non-finite component, an overflowing sum or an hbar that is not positive and
+    finite, and DimensionMismatchError on empty input.  Components are stored unchanged.
     """
     psi = np.atleast_1d(np.asarray(components, dtype=complex))
     if psi.ndim != 1 or psi.shape[0] == 0:
         raise DimensionMismatchError("state components must be a nonempty 1-d vector")
-    if not hbar > 0:
-        raise ValueError("hbar must be strictly positive")
+    require_positive(hbar, "hbar")
     residual = _squared_norm(psi) - hbar
     if abs(residual) > tol * hbar:
         raise OffShellError(residual)
@@ -214,6 +241,7 @@ def project_to_shell(raw, hbar: float) -> StateVector:
     raw = np.atleast_1d(np.asarray(raw, dtype=complex))
     if raw.ndim != 1 or raw.shape[0] == 0:
         raise DimensionMismatchError("input must be a nonempty 1-d vector")
+    require_positive(hbar, "hbar")
     norm_sq = _squared_norm(raw)
     if not norm_sq >= np.finfo(float).tiny:  # zero, or too small to rescale: its square underflows
         raise ZeroVectorError("cannot project the zero vector onto the shell")
@@ -248,10 +276,7 @@ def canonical_phase(state: StateVector) -> StateVector:
 
 def states_equal(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
     """True iff a and b are the same physical state: |<a|b>| >= hbar*(1 - tol)."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"states have dimensions {a.dimension} and {b.dimension}"
-        )
+    require_dim(b.dimension, a.dimension, "state")
     if a.hbar != b.hbar:
         raise DimensionMismatchError("states live on shells of different radius")
     overlap = abs(np.vdot(a.components, b.components))
@@ -263,6 +288,5 @@ def config_observable(d: int) -> HermitianObservable:
 
     Its outcome n labels the plane (q_n, p_n) the oscillator is confined to.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    require_positive_int(d, "dimension")
     return HermitianObservable(np.diag(np.arange(1, d + 1).astype(complex)))

@@ -14,8 +14,10 @@ from .core import (
     HermitianObservable,
     StateVector,
     make_state,
+    require_dim,
+    require_positive_int,
 )
-from .errors import DimensionMismatchError, StepCountError
+from .errors import DimensionMismatchError, InvalidArgumentError, StepCountError
 from .linalg import unitary_propagator
 
 MAX_STEPS = 10**8
@@ -47,10 +49,7 @@ def flow(a: HermitianObservable, psi0: StateVector, t: float) -> StateVector:
     decomposition of A is memoized on the observable instance, so flowing
     along a grid of t with one `a` solves the eigenproblem once.
     """
-    if a.dimension != psi0.dimension:
-        raise DimensionMismatchError(
-            f"generator dimension {a.dimension} does not match state {psi0.dimension}"
-        )
+    require_dim(psi0.dimension, a.dimension, "state")
     u = unitary_propagator(a, t)
     return make_state(u @ psi0.components, psi0.hbar)
 
@@ -67,26 +66,25 @@ def flow_numeric(
     raises: a scalar screen at half that bound passes it, and `make_state`
     decides any step the screen does not.  Only the endpoints are kept.
     """
-    if a.dimension != psi0.dimension:
-        raise DimensionMismatchError(
-            f"generator dimension {a.dimension} does not match state {psi0.dimension}"
-        )
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
+    require_dim(psi0.dimension, a.dimension, "state")
+    require_positive_int(steps, "steps")
     if steps > MAX_STEPS:
         raise StepCountError(f"steps {steps} exceeds the cap of {MAX_STEPS}")
 
-    hm = (-1j * t / steps) * a.matrix
-    eye = np.eye(a.dimension)
-    step = eye
-    for k in (4, 3, 2, 1):  # I + hM(I + hM/2(I + hM/3(I + hM/4)))
-        step = eye + (hm / k) @ step
     hbar = psi0.hbar
     psi = psi0.components
-    for _ in range(steps):
-        psi = step @ psi
-        if not abs(np.vdot(psi, psi).real - hbar) <= 0.5 * RK4_SHELL_TOL * hbar:  # NaN fails too
-            make_state(psi, hbar, tol=RK4_SHELL_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused, not warned about
+        hm = (-1j * t / steps) * a.matrix
+        eye = np.eye(a.dimension)
+        step = eye
+        for k in (4, 3, 2, 1):  # I + hM(I + hM/2(I + hM/3(I + hM/4)))
+            step = eye + (hm / k) @ step
+        if not np.isfinite(step).all():
+            raise InvalidArgumentError(f"RK4 step matrix is not finite: step {t / steps:.3e}")
+        for _ in range(steps):
+            psi = step @ psi
+            if not abs(np.vdot(psi, psi).real - hbar) <= 0.5 * RK4_SHELL_TOL * hbar:  # NaN fails
+                make_state(psi, hbar, tol=RK4_SHELL_TOL)
     return Trajectory(np.array([0.0, t]), (psi0, make_state(psi, hbar, tol=RK4_SHELL_TOL)))
 
 
@@ -102,10 +100,7 @@ def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:
     anomalous part -- the selection argument for Hermitian-form observables.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
-    if psi.shape[0] != gen.dimension:
-        raise DimensionMismatchError(
-            f"coordinates have dimension {psi.shape[0]}, generator {gen.dimension}"
-        )
+    require_dim(psi.shape[0], gen.dimension, "coordinates")
     conj_psi = np.conj(psi)
     inner = gen.linear + 2.0 * (gen.anomalous @ conj_psi)
     return 2.0 * float(np.imag(np.dot(conj_psi, inner)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HermitianObservable, StateVector, make_state
+from .core import HermitianObservable, StateVector, make_state, require_positive_int
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
@@ -65,8 +65,7 @@ _Z_999 = 3.090232306167813  # standard normal 99.9th percentile
 def chi2_threshold_999(dof: int) -> float:
     """99.9th chi-square percentile: embedded table for dof <= 32, the
     Wilson-Hilferty cube approximation beyond."""
-    if dof < 1:
-        raise ValueError("dof must be at least 1")
+    require_positive_int(dof, "dof")
     if dof in CHI2_999:
         return CHI2_999[dof]
     return dof * (1.0 - 2.0 / (9.0 * dof) + _Z_999 * np.sqrt(2.0 / (9.0 * dof))) ** 3
@@ -249,8 +248,10 @@ def courant_fischer_suite(
 ) -> list[VerificationReport]:
     """One report per random Hermitian matrix: constrained minimization must
     reproduce every eigenvalue.  Failures are reported, not thrown."""
-    if not dims or any(d < 1 for d in dims):
+    if not dims:
         raise ValueError("dims must be a nonempty list of positive integers")
+    for d in dims:
+        require_positive_int(d, "dimension")
     rng = master_rng(seed)
     reports = []
     for d in dims:

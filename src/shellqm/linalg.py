@@ -4,17 +4,19 @@ The eigensolver is a self-contained cyclic Jacobi iteration with complex
 rotations, applied directly to the complex Hermitian matrix.  Jacobi is
 unconditionally stable for Hermitian input and highly accurate at the small
 dimensions this package targets (d up to a few dozen), with no dependency on
-an external eigensolver.
+an external eigensolver.  It takes only a `HermitianObservable`, whose type
+guarantees a square, exactly Hermitian matrix with a finite norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianObservable, check_hermitian, phase_fix
-from .errors import DimensionMismatchError, InvalidArgumentError, NoConvergenceError, NotSquareError
+from .core import HermitianObservable, phase_fix, require_dim
+from .errors import InvalidArgumentError, NoConvergenceError
 
 # Convergence and clustering controls for the Jacobi sweep.
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius norm relative to ||A||_F
@@ -110,8 +112,8 @@ def _cluster_indices(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in clusters)
 
 
-def eigh(observable: HermitianObservable | np.ndarray) -> EigenSystem:
-    """Full spectral decomposition of a Hermitian matrix by cyclic Jacobi.
+def eigh(observable: HermitianObservable) -> EigenSystem:
+    """Full spectral decomposition of an observable by cyclic Jacobi.
 
     Output is deterministic for identical input: fixed sweep order, eigenvalues
     ascending, eigenvector phases fixed, and vectors inside a degeneracy
@@ -119,14 +121,15 @@ def eigh(observable: HermitianObservable | np.ndarray) -> EigenSystem:
 
     The decomposition is memoized per HermitianObservable instance: the first
     call solves and stores the system on the (immutable) observable, and later
-    calls return that same EigenSystem.  A raw array is solved on every call.
+    calls return that same EigenSystem.  A fresh instance built from the same
+    matrix is solved again.
 
-    Raises NoConvergenceError if the off-diagonal mass has not dropped below
-    JACOBI_REL_TOL * ||A||_F within the sweep budget, and InvalidArgumentError
-    if ||A||_F is not finite (a NaN entry, or entries so large it overflows).
+    Raises TypeError for anything but a HermitianObservable, and
+    NoConvergenceError if the off-diagonal mass has not dropped below
+    JACOBI_REL_TOL * ||A||_F within the sweep budget.
     """
     if not isinstance(observable, HermitianObservable):
-        return _jacobi_eigh(observable)
+        raise TypeError(f"eigh takes a HermitianObservable, got {type(observable).__name__}")
     system = observable.__dict__.get("_eigensystem")
     if system is None:
         system = _jacobi_eigh(observable.matrix)
@@ -134,20 +137,14 @@ def eigh(observable: HermitianObservable | np.ndarray) -> EigenSystem:
     return system
 
 
-def _jacobi_eigh(matrix) -> EigenSystem:
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        # Exact Hermiticity keeps every rotation exactly unitary.
-        a = 0.5 * (a + a.conj().T)
-        fro = float(np.linalg.norm(a))
+def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
+    # An observable's matrix is square, exactly Hermitian (so every rotation is
+    # exactly unitary) and of finite norm (so the target below is finite).
+    a = matrix.copy()
+    fro = float(np.linalg.norm(a))
     d = a.shape[0]
     v = np.eye(d, dtype=complex)
 
-    if not np.isfinite(fro):
-        # An infinite target would stop the sweep before any rotation.
-        raise InvalidArgumentError(f"matrix norm is {fro}; the eigensolver needs a finite one")
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
         # Entries all below target/d cannot push the off-diagonal norm above
@@ -189,10 +186,7 @@ def _jacobi_eigh(matrix) -> EigenSystem:
 
 def commutator(a: HermitianObservable, b: HermitianObservable) -> np.ndarray:
     """Matrix commutator AB - BA; anti-Hermitian for Hermitian inputs."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"observables have dimensions {a.dimension} and {b.dimension}"
-        )
+    require_dim(b.dimension, a.dimension, "observable")
     return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
@@ -202,8 +196,12 @@ def unitary_propagator(a: HermitianObservable, t: float) -> np.ndarray:
     Exactly unitary up to rounding: U(0) is the identity and U U^dag = 1.
     The decomposition comes from `eigh`, memoized per observable instance, so
     propagators of one observable at many t share a single Jacobi solve.
+    Raises InvalidArgumentError when some a_n * t is not finite.
     """
     es = eigh(a)
+    extreme = max(-float(es.eigenvalues[0]), float(es.eigenvalues[-1]))  # the largest |a_n|
+    if not math.isfinite(extreme * float(t)):  # Python floats overflow without a warning
+        raise InvalidArgumentError(f"a_n * t is not finite for t = {t}, |a_n| up to {extreme:.6g}")
     phases = np.exp(-1j * es.eigenvalues * t)
     v = es.eigenvectors
     return (v * phases) @ v.conj().T

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL_ZERO, HermitianObservable, StateVector, make_state, project_to_shell
+from .core import (TOL_ZERO, HermitianObservable, StateVector, make_state, project_to_shell,
+                   require_dim, require_positive, require_positive_int)
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
@@ -43,8 +44,7 @@ class AdmissibleSubspace:
     basis: np.ndarray  # columns are the vectors to stay orthogonal to
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be at least 1")
+        require_positive_int(self.level, "level")
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2:
             raise DimensionMismatchError("basis must be a 2-d array of column vectors")
@@ -122,10 +122,7 @@ def born_probabilities(
     `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
     a decomposition obtained some other way.
     """
-    if obs.dimension != state.dimension:
-        raise DimensionMismatchError(
-            f"observable dimension {obs.dimension} does not match state {state.dimension}"
-        )
+    require_dim(state.dimension, obs.dimension, "state")
     es = eigh(obs) if system is None else system
     amplitudes = es.eigenvectors.conj().T @ state.components
     weights = np.abs(amplitudes) ** 2 / state.hbar
@@ -166,10 +163,8 @@ def constrained_min(
     found.
     """
     d = obs.dimension
-    if sub.basis.shape[0] != d:
-        raise DimensionMismatchError(
-            f"basis vectors have dimension {sub.basis.shape[0]}, observable {d}"
-        )
+    require_dim(sub.basis.shape[0], d, "basis vectors")
+    require_positive(hbar, "hbar")
     if sub.level > d:
         raise ValueError(f"level {sub.level} exceeds dimension {d}")
     a = obs.matrix

@@ -19,12 +19,11 @@ from .core import (
     OscillatorParams,
     PhaseSpacePoint,
     StateVector,
+    require_dim,
+    require_positive,
+    require_positive_int,
 )
-from .errors import (
-    DimensionMismatchError,
-    NonRealValueError,
-    NotVanishingAtRestError,
-)
+from .errors import NonRealValueError, NotVanishingAtRestError
 
 # Imaginary residue above this signals a non-Hermitian kernel slipped through.
 REAL_RESIDUE_TOL = 1e-8
@@ -41,14 +40,9 @@ class BracketValue:
             raise NonRealValueError(f"bracket value is not finite: {self.value!r}")
 
 
-def _require_dim(actual: int, expected: int, what: str) -> None:
-    if actual != expected:
-        raise DimensionMismatchError(f"{what}: dimension {actual} does not match {expected}")
-
-
 def to_complex(pt: PhaseSpacePoint, params: OscillatorParams) -> np.ndarray:
     """Complex coordinates psi_n = sqrt(m w / 2) q_n + i (2 m w)^(-1/2) p_n."""
-    _require_dim(pt.dimension, params.dimension, "phase-space point")
+    require_dim(pt.dimension, params.dimension, "phase-space point")
     scale = np.sqrt(params.mass * params.omega / 2.0)
     return scale * pt.q + 1j * pt.p / (2.0 * scale)
 
@@ -56,7 +50,7 @@ def to_complex(pt: PhaseSpacePoint, params: OscillatorParams) -> np.ndarray:
 def to_real(psi: np.ndarray, params: OscillatorParams) -> PhaseSpacePoint:
     """Exact inverse of `to_complex`."""
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
-    _require_dim(psi.shape[0], params.dimension, "complex coordinates")
+    require_dim(psi.shape[0], params.dimension, "complex coordinates")
     scale = np.sqrt(params.mass * params.omega / 2.0)
     return PhaseSpacePoint(q=psi.real / scale, p=psi.imag * 2.0 * scale)
 
@@ -67,7 +61,7 @@ def shell_residual(pt: PhaseSpacePoint, params: OscillatorParams) -> float:
     Zero exactly when the point's complex coordinates lie on the sphere
     <psi|psi> = hbar; the two constraint forms are algebraically identical.
     """
-    _require_dim(pt.dimension, params.dimension, "phase-space point")
+    require_dim(pt.dimension, params.dimension, "phase-space point")
     mw = params.mass * params.omega
     energy_form = float(np.sum(pt.p**2 / (2.0 * mw) + (mw / 2.0) * pt.q**2))
     return energy_form - params.hbar
@@ -82,7 +76,7 @@ def _real_part(total: complex, context: str) -> float:
 
 def evaluate_observable(obs: HermitianObservable, state: StateVector) -> float:
     """Value of the Hermitian form <psi|A|psi> at the state."""
-    _require_dim(state.dimension, obs.dimension, "state")
+    require_dim(state.dimension, obs.dimension, "state")
     total = np.vdot(state.components, obs.matrix @ state.components)
     return _real_part(complex(total), "observable value")
 
@@ -94,7 +88,7 @@ def evaluate_general(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:
              + 2 Re(sum B_nm conj(psi_n) conj(psi_m)).
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
-    _require_dim(psi.shape[0], gen.dimension, "coordinates")
+    require_dim(psi.shape[0], gen.dimension, "coordinates")
     linear = 2.0 * np.real(np.vdot(gen.linear, psi))
     hermitian = np.vdot(psi, gen.hermitian @ psi)
     conj_psi = np.conj(psi)
@@ -118,11 +112,8 @@ def poisson_bracket(
     form i (dA/dpsi dB/dpsi* - dA/dpsi* dB/dpsi) is kept to tests as the
     oracle for the bracket-commutator isomorphism.
     """
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"observables have dimensions {a.dimension} and {b.dimension}"
-        )
-    _require_dim(state.dimension, a.dimension, "state")
+    require_dim(b.dimension, a.dimension, "observable")
+    require_dim(state.dimension, a.dimension, "state")
     psi = state.components
     apsi = a.matrix @ psi
     bpsi = b.matrix @ psi
@@ -141,10 +132,8 @@ def hermitian_from_function(
     Hermiticity.  For f already a Hermitian form this recovers its matrix
     within O(step^2) plus rounding.  f must vanish at rest: |f(0)| <= 1e-6.
     """
-    if d < 1:
-        raise DimensionMismatchError("dimension must be at least 1")
-    if not step > 0:
-        raise ValueError("step must be strictly positive")
+    require_positive_int(d, "dimension")
+    require_positive(step, "step")
     zero = np.zeros(d, dtype=complex)
     f0 = float(f(zero))
     if abs(f0) > 1e-6:

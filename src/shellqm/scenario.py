@@ -22,14 +22,14 @@ Example document:
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_SHELL, HermitianObservable, StateVector, check_hermitian,
-                   make_state, project_to_shell)
-from .errors import NotHermitianError, OffShellError, ScenarioParseError, ScenarioValidationError
+from .core import (TOL_HERM, TOL_SHELL, HermitianObservable, OscillatorParams, StateVector,
+                   hermitian_part, make_state, project_to_shell, require_positive)
+from .errors import (InvalidArgumentError, OffShellError, ScenarioParseError,
+                     ScenarioValidationError)
 from .experiments import MAX_TRIALS
 
 KNOWN_TOLERANCES = ("shell", "herm")
@@ -59,11 +59,7 @@ class Scenario:
         if "_observable" in self.__dict__:
             return self.__dict__["_observable"]
         m = self.observable_re + 1j * self.observable_im
-        if not check_hermitian(m, self.tolerances.get("herm", TOL_HERM)):
-            raise NotHermitianError("observable is not Hermitian (re part must be symmetric, "
-                                    "im part antisymmetric)")
-        # (M + M^H) / 2, halved before the sum so it cannot overflow; Hermitian input is kept as is
-        obs = HermitianObservable(m if check_hermitian(m, 0.0) else 0.5 * m + 0.5 * m.conj().T)
+        obs = HermitianObservable(hermitian_part(m, self.tolerances.get("herm", TOL_HERM)))
         object.__setattr__(self, "_observable", obs)
         return obs
 
@@ -177,17 +173,15 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     for key, value in tolerances.items():
         if key not in KNOWN_TOLERANCES:
             raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value <= sys.float_info.max):
-            raise ScenarioParseError(
-                f"tolerance {key!r} must be a positive finite number, got {value!r}"
-            )
+        try:
+            require_positive(value, f"tolerance {key!r}")
+        except InvalidArgumentError as exc:
+            raise ScenarioParseError(str(exc)) from None
 
-    if d < 1:
-        raise ScenarioValidationError(f"dimension must be positive, got {d}")
-    for name, value in (("hbar", hbar), ("mass", mass), ("omega", omega)):
-        if not np.isfinite(value) or value <= 0:
-            raise ScenarioValidationError(f"{name} must be positive and finite, got {value}")
+    try:
+        OscillatorParams(d, mass=mass, omega=omega, hbar=hbar)
+    except InvalidArgumentError as exc:
+        raise ScenarioValidationError(str(exc)) from None
     if not 1 <= trials <= MAX_TRIALS:
         raise ScenarioValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
 

@@ -5,21 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shellqm import HermitianObservable, make_state
+from shellqm.experiments import random_hermitian, random_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def random_hermitian(d: int, rng: np.random.Generator) -> HermitianObservable:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return HermitianObservable(0.5 * (g + g.conj().T))
-
-
-def random_state(d: int, rng: np.random.Generator, hbar: float = 1.0):
-    raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return make_state(raw * np.sqrt(hbar) / np.linalg.norm(raw), hbar)
 
 
 @pytest.fixture

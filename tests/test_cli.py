@@ -370,14 +370,13 @@ class TestDispatch:
                 return fn(*args)
             return wrapper
 
-        for name in ("check_hermitian", "project_to_shell"):
+        for name in ("hermitian_part", "project_to_shell"):
             monkeypatch.setattr(shellqm.scenario, name,
                                 counted(name, getattr(shellqm.scenario, name)))
         scen = self.write_scenario(tmp_path)
         assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 0
-        # the admission test at `herm`, the exactness test, and one projection
-        assert calls == [("check_hermitian", TOL_HERM), ("check_hermitian", 0.0),
-                         ("project_to_shell", 1.0)]
+        # one admission of the observable at `herm`, and one projection
+        assert calls == [("hermitian_part", TOL_HERM), ("project_to_shell", 1.0)]
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_state_on_a_tiny_shell_is_admitted(self, tmp_path, normalize):
@@ -434,6 +433,17 @@ class TestDispatch:
         assert len(lines) == 1
         assert set(json.loads(lines[0])["error"]) == {"type", "message"}
         assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("verify.json")) == []
+
+    @pytest.mark.parametrize("time", ["1e308", "-1e308"])
+    @pytest.mark.filterwarnings("error")
+    def test_evolve_time_overflowing_the_spectrum_exits_2(self, tmp_path, capsys, time):
+        # equal_q2's eigenvalues 1 and 2 put 2 * 1e308 beyond the double range
+        assert main(["evolve", "--scenario", str(EQUAL_Q2), f"--time={time}",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "InvalidArgumentError"
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_verify_with_too_few_scenario_trials_exits_2(self, tmp_path, capsys):
         scen = self.write_scenario(tmp_path, trials=50)

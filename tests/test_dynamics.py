@@ -17,7 +17,7 @@ from shellqm import (
 )
 from shellqm import dynamics, linalg
 from shellqm.dynamics import RK4_SHELL_TOL
-from shellqm.errors import OffShellError, StepCountError
+from shellqm.errors import InvalidArgumentError, OffShellError, StepCountError
 
 from conftest import SIGMA_X, random_hermitian, random_state
 
@@ -65,6 +65,14 @@ class TestFlow:
         out = flow(HermitianObservable(SIGMA_X), s, np.pi / 2)
         assert np.allclose(out.components, [0, -1j * np.sqrt(hbar)], atol=1e-14)
         assert states_equal(out, make_state([0, np.sqrt(hbar)], hbar=hbar))
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, np.inf, np.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_phase_refused(self, t):
+        # a_n * t overflows for a_n = 2; inf and NaN are never a phase
+        s = make_state([1.0, 0.0], hbar=1.0)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            flow(config_observable(2), s, t)
 
     def test_integer_spectrum_periodicity(self):
         # oracle: diagonal phases exp(-2 pi i) and exp(-4 pi i)
@@ -210,6 +218,16 @@ class TestFlowNumeric:
         s = random_state(4, rng)
         traj = flow_numeric(random_hermitian(4, rng), s, 1.0, steps=100)
         assert abs(traj.final.norm_squared() - s.hbar) <= RK4_SHELL_TOL * s.hbar
+
+    @pytest.mark.parametrize("hbar, t, match", [
+        (1.0, 1e80, "step matrix is not finite"),  # (hM)^4 overflows while P is built
+        (1e300, 1e40, "non-finite component"),    # P is finite, P @ psi overflows
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_refused_without_a_warning(self, hbar, t, match):
+        s = make_state([np.sqrt(hbar), 0.0], hbar=hbar)
+        with pytest.raises(InvalidArgumentError, match=match):
+            flow_numeric(HermitianObservable(SIGMA_X), s, t, steps=1)
 
     def test_step_cap(self, rng):
         s = random_state(2, rng)

@@ -116,22 +116,28 @@ class TestEigh:
         es = eigh(config_observable(3))
         assert es.clusters == ((0,), (1,), (2,))
 
+    @pytest.mark.parametrize("raw", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]])
+    def test_raw_matrix_refused(self, raw):
+        with pytest.raises(TypeError, match="HermitianObservable"):
+            eigh(raw)
+
 
 class TestEighCache:
     def test_same_instance_returns_same_system(self, rng):
         obs = random_hermitian(4, rng)
         assert eigh(obs) is eigh(obs)
 
-    def test_cached_system_matches_raw_solve_bytes(self, rng):
+    def test_cached_system_matches_fresh_solve_bytes(self, rng):
         obs = random_hermitian(6, rng)
-        cached, raw = eigh(obs), eigh(obs.matrix)
-        assert cached.eigenvalues.tobytes() == raw.eigenvalues.tobytes()
-        assert cached.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
-        assert cached.clusters == raw.clusters
+        cached = eigh(obs)
+        fresh = eigh(HermitianObservable(obs.matrix))
+        assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert cached.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert cached.clusters == fresh.clusters
 
-    def test_raw_array_not_cached(self, rng):
+    def test_fresh_instance_solved_again(self, rng):
         m = random_hermitian(3, rng).matrix
-        assert eigh(m) is not eigh(m)
+        assert eigh(HermitianObservable(m)) is not eigh(HermitianObservable(m))
 
     def test_source_array_writes_do_not_reach_observable(self, rng):
         source = random_hermitian(4, rng).matrix.copy()
@@ -140,7 +146,8 @@ class TestEighCache:
         source.setflags(write=True)
         source[0, 0] += 100.0
         assert np.array_equal(obs.matrix, original)
-        assert eigh(obs).eigenvalues.tobytes() == eigh(original).eigenvalues.tobytes()
+        fresh = eigh(HermitianObservable(original))
+        assert eigh(obs).eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
 
     def test_one_solve_across_flow_grid_mean_and_measure(self, rng, monkeypatch):
         solves = []

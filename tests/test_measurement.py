@@ -15,7 +15,7 @@ from shellqm import (
     states_equal,
     unitary_propagator,
 )
-from shellqm.errors import DimensionMismatchError
+from shellqm.errors import DimensionMismatchError, InvalidArgumentError
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 
@@ -166,6 +166,13 @@ class TestConstrainedMin:
                 result = constrained_min(obs, sub, seed=int(rng.integers(10**6)))
                 target = es.eigenvalues[n - 1]
                 assert abs(result.eigenvalue - target) <= 1e-6 * max(1.0, abs(target))
+
+    @pytest.mark.parametrize("hbar", [np.inf, 0.0, -1.0])
+    @pytest.mark.filterwarnings("error")
+    def test_hbar_not_positive_and_finite_refused(self, hbar):
+        obs = HermitianObservable(SIGMA_Z)
+        with pytest.raises(InvalidArgumentError, match="hbar"):
+            constrained_min(obs, AdmissibleSubspace.full_shell(2), seed=0, hbar=hbar)
 
     def test_near_degenerate_reports_no_convergence(self, monkeypatch):
         # a 1e-4 gap decays too slowly for the iteration budget; the error

@@ -1,15 +1,16 @@
 """Property-based tests: Born probabilities and the shared sampler over
 random Hermitian matrices and shell states, the CLI's exit-code contract
-over fuzzed scenario documents, and loose tolerance overrides that admit a
-scenario and then never fail it."""
+over fuzzed scenario documents and fuzzed command lines, and loose tolerance
+overrides that admit a scenario and then never fail it."""
 
 import contextlib
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import shellqm.measurement
@@ -134,6 +135,57 @@ def test_cli_exit_codes_on_fuzzed_scenarios(tmp_path_factory, doc, command, extr
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
+        diagnostic = json.loads(err.getvalue().splitlines()[-1])
+        assert set(diagnostic["error"]) == {"type", "message"}
+
+
+# ----------------------------------------------------------- CLI argv fuzz
+
+EQUAL_Q2 = Path(__file__).resolve().parents[1] / "scenarios" / "equal_q2.json"
+SPECIAL_VALUES = ["junk", "", "nan", "inf", "-inf", "1e308", "-1e308"]
+VALID_VALUES = {
+    "--seed": st.integers(-2**70, 2**70),
+    "--trials": st.integers(-2, 10**4),  # small enough to draw quickly
+    "--samples": st.integers(-2, 64),
+    "--time": st.floats(),
+    "--tol": st.floats(),
+    "--format": st.sampled_from(["csv", "structured"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command on `equal_q2.json` with up to three fuzzed options.  A value is
+    junk, non-finite or huge one time in three, and otherwise in the option's
+    own type; each is given as `--name=value`, so a negative value is not read
+    as an option."""
+    argv = [draw(st.sampled_from(COMMANDS)), "--scenario", str(EQUAL_Q2)]
+    for name in draw(st.lists(st.sampled_from(sorted(VALID_VALUES)), max_size=3)):
+        if draw(st.integers(0, 2)) == 2:
+            value = draw(st.sampled_from(SPECIAL_VALUES))
+        else:
+            value = str(draw(VALID_VALUES[name]))
+        if name == "--tol":
+            value = f"{draw(st.sampled_from(['shell', 'herm', 'zero']))}={value}"
+        argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+@example(["evolve", "--scenario", str(EQUAL_Q2), "--time=1e308"])
+@example(["evolve", "--scenario", str(EQUAL_Q2), "--time=-1e308", "--samples=1"])
+@example(["sample", "--scenario", str(EQUAL_Q2), "--trials=1e308"])
+def test_cli_exit_codes_on_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, refused_by_argparse = main(argv), False
+        except SystemExit as exc:  # argparse's own usage error
+            code, refused_by_argparse = exc.code, True
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 2 and not refused_by_argparse:
         diagnostic = json.loads(err.getvalue().splitlines()[-1])
         assert set(diagnostic["error"]) == {"type", "message"}
 
