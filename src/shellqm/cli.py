@@ -180,8 +180,13 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise InvalidArgumentError(f"--time must be finite, got {args.time}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` reports it as one JSON line, not as usage text
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shellqm",
         description="Oscillator-shell observables, flows, and measurement statistics",
     )
@@ -205,11 +210,10 @@ def _diagnostic(kind: str, message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol_overrides = _parse_tol(args.tol)
-    except ValueError as exc:
+    except (argparse.ArgumentError, ValueError) as exc:
         _diagnostic("ArgumentError", str(exc))
         return 2
     try:

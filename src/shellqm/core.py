@@ -141,10 +141,12 @@ def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
 
 def hermitian_part(matrix, tol: float = TOL_HERM) -> np.ndarray:
     """Exact Hermitian part (M + M^H) / 2, halved before the sum so it cannot overflow, of
-    a matrix within `tol` of Hermitian (NotHermitianError otherwise, and for a NaN or inf
-    entry).  An exactly Hermitian matrix is returned as is, signed zeros included."""
+    a nonempty matrix within `tol` of Hermitian (NotHermitianError otherwise, and for a NaN
+    or inf entry).  An exactly Hermitian matrix is returned as is, signed zeros included."""
     m = np.asarray(matrix, dtype=complex)
     resid = _hermitian_residual(m)
+    if m.shape[0] == 0:
+        raise DimensionMismatchError("matrix must have at least one row")
     if resid == 0.0:
         return m
     if not resid <= tol:
@@ -186,9 +188,9 @@ class GeneralQuadraticObservable:
     anomalous: np.ndarray
 
     def __post_init__(self):
-        lin = np.atleast_1d(np.asarray(self.linear, dtype=complex))
-        herm = np.asarray(self.hermitian, dtype=complex)
-        anom = np.asarray(self.anomalous, dtype=complex)
+        lin = np.atleast_1d(np.array(self.linear, dtype=complex))
+        herm = np.array(self.hermitian, dtype=complex)
+        anom = np.array(self.anomalous, dtype=complex)
         d = lin.shape[0]
         if herm.shape != (d, d) or anom.shape != (d, d):
             raise DimensionMismatchError(

@@ -21,7 +21,7 @@ from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_uniforms
 
 POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
-MAX_TRIALS = 10**8  # a run peaks near 24 B/trial: draws, outcome indices, their clamped copy
+MAX_TRIALS = 10**8  # a run peaks near 16 B/trial: draws and their outcome indices
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {
@@ -274,8 +274,8 @@ def norm_conservation_report(
     return VerificationReport(
         name="norm-conservation",
         statistic=worst,
-        threshold=1e-9,
-        passed=worst <= 1e-9,
+        threshold=1e-9 * state.hbar,
+        passed=worst <= 1e-9 * state.hbar,
         digest={"dimension": obs.dimension, "seed": seed},
     )
 

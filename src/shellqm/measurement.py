@@ -25,7 +25,7 @@ from .errors import (
 from .linalg import EigenSystem, eigh
 from .rng import master_rng
 
-# Projected-gradient controls (step and convergence are Frobenius-scaled).
+# Gradient-descent controls (step and convergence are Frobenius-scaled).
 PG_STEP = 0.1
 PG_GRAD_TOL = 1e-9
 PG_MAX_ITER = 10**5
@@ -140,12 +140,6 @@ def mean_value(obs: HermitianObservable, state: StateVector) -> float:
     return float(np.dot(dist.values, dist.probabilities))
 
 
-def _project_off(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return vec
-    return vec - basis @ (basis.conj().T @ vec)
-
-
 def constrained_min(
     obs: HermitianObservable,
     sub: AdmissibleSubspace,
@@ -153,65 +147,62 @@ def constrained_min(
     hbar: float = 1.0,
 ) -> ConstrainedMin:
     """Minimize <psi|A|psi> over shell states orthogonal to sub.basis by
-    projected gradient descent.
+    gradient descent on the unit sphere of the admissible subspace.
 
-    Each iteration projects the gradient off the orthogonality basis and the
-    radial direction, takes a fixed Frobenius-scaled step, and renormalizes to
-    the shell of radius sqrt(hbar).  Starts are drawn from the seed-keyed
-    stream; on failure to meet the gradient tolerance the descent restarts,
-    and after the restart budget NoConvergenceError reports the best value
-    found.
+    With q an orthonormal basis of the complement of sub.basis (the identity at
+    level 1), every admissible state is psi = sqrt(hbar) q x with |x| = 1, and
+    <psi|A|psi> = hbar x^H (q^H A q) x.  So the descent runs on x: each
+    iteration takes the tangent gradient, a fixed step scaled by A's Frobenius
+    norm, and renormalizes; no iterate needs projecting and hbar only scales
+    the result.  Starts are drawn from the seed-keyed stream; on failure to
+    meet the gradient tolerance the descent restarts, and after the restart
+    budget NoConvergenceError reports the best form value found.
     """
     d = obs.dimension
     require_dim(sub.basis.shape[0], d, "basis vectors")
     require_positive(hbar, "hbar")
     if sub.level > d:
         raise ValueError(f"level {sub.level} exceeds dimension {d}")
-    a = obs.matrix
-    basis = sub.basis
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        fro = 1.0
+    q = np.linalg.qr(sub.basis, mode="complete")[0][:, sub.level - 1:]
+    qh = q.conj().T
+    b = qh @ obs.matrix @ q
+    fro = float(np.linalg.norm(obs.matrix)) or 1.0
     step = PG_STEP / fro
-    grad_tol = PG_GRAD_TOL * fro * hbar
-    radius = np.sqrt(hbar)
+    grad_tol = PG_GRAD_TOL * fro
 
     rng = master_rng(seed)
-    best_value = np.inf
+    best = np.inf
     total_iters = 0
     for restart in range(PG_RESTARTS):
-        raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi = _project_off(basis, raw)
-        norm = float(np.linalg.norm(psi))
+        x = qh @ (rng.normal(size=d) + 1j * rng.normal(size=d))
+        norm = float(np.linalg.norm(x))
         if norm < 1e-8:
             continue
-        psi = psi * (radius / norm)
+        x = x * (1.0 / norm)
         converged = False
         for _ in range(PG_MAX_ITER):
             total_iters += 1
-            grad = 2.0 * (a @ psi)
-            grad = _project_off(basis, grad)
-            grad = grad - (np.real(np.vdot(psi, grad)) / hbar) * psi
+            grad = 2.0 * (b @ x)
+            grad = grad - np.real(np.vdot(x, grad)) * x
             if float(np.linalg.norm(grad)) <= grad_tol:
                 converged = True
                 break
-            psi = psi - step * grad
-            psi = _project_off(basis, psi)
-            psi = psi * (radius / float(np.linalg.norm(psi)))
-        value = float(np.real(np.vdot(psi, a @ psi)))
-        best_value = min(best_value, value)
+            x = x - step * grad
+            x = x * (1.0 / float(np.linalg.norm(x)))
+        value = float(np.real(np.vdot(x, b @ x)))
+        best = min(best, value)
         if converged:
             return ConstrainedMin(
-                eigenvalue=value / hbar,
-                form_value=value,
-                argmin=make_state(psi, hbar),
+                eigenvalue=value,
+                form_value=hbar * value,
+                argmin=make_state(np.sqrt(hbar) * (q @ x), hbar),
                 iterations=total_iters,
                 restarts=restart,
             )
     raise NoConvergenceError(
-        f"projected gradient did not converge after {PG_RESTARTS} restarts "
-        f"(best form value {best_value:.12g})",
-        best_value=best_value,
+        f"gradient descent did not converge after {PG_RESTARTS} restarts "
+        f"(best form value {hbar * best:.12g})",
+        best_value=hbar * best,
     )
 
 
@@ -223,7 +214,7 @@ def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
     CDF is divided by its total: its last entry is then exactly 1 > u, and no
     draw lands on a zero-probability cluster."""
     cdf = np.cumsum(probabilities)
-    return np.minimum(np.searchsorted(cdf / cdf[-1], u, side="right"), len(cdf) - 1)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def measure(

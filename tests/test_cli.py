@@ -290,6 +290,34 @@ class TestDispatch:
         diag = json.loads(err)
         assert diag["error"]["type"] == "ScenarioParseError"
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--scenario", str(EQUAL_Q2), "--seed", "junk"],
+        ["bogus", "--scenario", str(EQUAL_Q2)],
+        ["probs"],
+        ["probs", "--scenario", str(EQUAL_Q2), "--unknown"],
+    ])
+    def test_usage_error_is_one_json_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"]["type"] == "ArgumentError"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: shellqm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("hbar", [1e-30, 1e30])
+    def test_verify_passes_on_any_shell(self, tmp_path, hbar):
+        doc = json.loads(EQUAL_Q2.read_text())
+        doc["hbar"] = hbar
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "verify.json").read_text())["passed"]
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["probs", "--scenario", str(tmp_path / "nope.json")]) == 2
 

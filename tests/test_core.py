@@ -252,6 +252,10 @@ class TestHermitianObservable:
         with pytest.raises(NotHermitianError):
             HermitianObservable(np.array([[0, 1j], [1j, 0]]))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            HermitianObservable(np.zeros((0, 0)))
+
     def test_rejects_non_square(self):
         from shellqm.errors import NotSquareError
 
@@ -294,6 +298,20 @@ class TestGeneralQuadraticObservable:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(NotHermitianError):
             GeneralQuadraticObservable(**self.parts(**{part: m}))
+
+    def test_rejects_empty_parts(self):
+        with pytest.raises(DimensionMismatchError):
+            GeneralQuadraticObservable(0.0, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        lin = np.zeros(2, dtype=complex)
+        herm = np.array([[1, 1j], [-1j, 2]])
+        anom = np.array([[0, 1j], [1j, 0]])
+        gen = GeneralQuadraticObservable(0.0, lin, herm, anom)
+        for given, kept in ((lin, gen.linear), (herm, gen.hermitian), (anom, gen.anomalous)):
+            assert given.flags.writeable
+            assert not np.shares_memory(given, kept)
+            assert not kept.flags.writeable
 
     def test_accepts_finite_parts(self):
         gen = GeneralQuadraticObservable(**self.parts(anomalous=np.array([[0, 1j], [1j, 0]])))

@@ -16,10 +16,50 @@ from shellqm import (
     unitary_propagator,
 )
 from shellqm.errors import DimensionMismatchError, InvalidArgumentError
-from shellqm.measurement import outcome_index
+from shellqm.measurement import PG_GRAD_TOL, PG_MAX_ITER, PG_RESTARTS, PG_STEP, outcome_index
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
+
+
+def projected_min(a: np.ndarray, basis: np.ndarray, seed: int, hbar: float):
+    """Projected gradient descent on the shell of radius sqrt(hbar), projecting
+    the start, each gradient and each step off `basis`: the oracle for
+    `constrained_min`'s descent in coordinates of the admissible subspace.
+    Returns the eigenvalue and the iteration count."""
+    def off(v):
+        return v - basis @ (basis.conj().T @ v)
+
+    d = a.shape[0]
+    fro = float(np.linalg.norm(a)) or 1.0
+    step, grad_tol, radius = PG_STEP / fro, PG_GRAD_TOL * fro * hbar, np.sqrt(hbar)
+    rng = master_rng(seed)
+    iterations = 0
+    for _ in range(PG_RESTARTS):
+        psi = off(rng.normal(size=d) + 1j * rng.normal(size=d))
+        norm = float(np.linalg.norm(psi))
+        if norm < 1e-8:
+            continue
+        psi = psi * (radius / norm)
+        for _ in range(PG_MAX_ITER):
+            iterations += 1
+            grad = off(2.0 * (a @ psi))
+            grad = grad - (np.real(np.vdot(psi, grad)) / hbar) * psi
+            if float(np.linalg.norm(grad)) <= grad_tol:
+                return float(np.real(np.vdot(psi, a @ psi))) / hbar, iterations
+            psi = off(psi - step * grad)
+            psi = psi * (radius / float(np.linalg.norm(psi)))
+    raise AssertionError("oracle did not converge")
+
+
+def random_level(rng, max_d: int = 8):
+    """A random observable, a level of it and its admissible subspace, with the
+    orthogonality basis taken from numpy."""
+    d = int(rng.integers(1, max_d + 1))
+    obs = random_hermitian(d, rng)
+    vectors = np.linalg.eigh(obs.matrix)[1]
+    n = int(rng.integers(1, d + 1))
+    return obs, AdmissibleSubspace(level=n, basis=vectors[:, : n - 1])
 
 
 class TestSpectrum:
@@ -166,6 +206,41 @@ class TestConstrainedMin:
                 result = constrained_min(obs, sub, seed=int(rng.integers(10**6)))
                 target = es.eigenvalues[n - 1]
                 assert abs(result.eigenvalue - target) <= 1e-6 * max(1.0, abs(target))
+
+    def test_matches_projected_oracle(self, rng):
+        for _ in range(40):
+            obs, sub = random_level(rng)
+            seed = int(rng.integers(10**6))
+            want, iterations = projected_min(obs.matrix, sub.basis, seed, 1.0)
+            result = constrained_min(obs, sub, seed=seed)
+            assert result.iterations == iterations
+            assert abs(result.eigenvalue - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_argmin_is_admissible(self, rng):
+        for _ in range(40):
+            obs, sub = random_level(rng)
+            hbar = (1e-30, 1.0, 1e30)[int(rng.integers(3))]
+            result = constrained_min(obs, sub, seed=int(rng.integers(10**6)), hbar=hbar)
+            overlap = np.abs(sub.basis.conj().T @ result.argmin.components)
+            assert np.max(overlap, initial=0.0) <= 1e-13 * np.sqrt(hbar)
+            assert result.form_value == hbar * result.eigenvalue
+
+    def test_descent_does_not_depend_on_hbar(self, rng):
+        # hbar only sets the shell's radius: the eigenvalue and the iteration
+        # count are the same numbers on every shell
+        for _ in range(10):
+            obs, sub = random_level(rng)
+            seed = int(rng.integers(10**6))
+            unit = constrained_min(obs, sub, seed=seed)
+            for hbar in (1e-30, 1e-6, 0.5, 2.0, 1e6, 1e30):
+                result = constrained_min(obs, sub, seed=seed, hbar=hbar)
+                assert result.eigenvalue == unit.eigenvalue
+                assert result.iterations == unit.iterations
+
+    def test_huge_hbar_still_converges(self):
+        sub = AdmissibleSubspace.full_shell(3)
+        result = constrained_min(config_observable(3), sub, seed=0, hbar=1e30)
+        assert result.eigenvalue == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("hbar", [np.inf, 0.0, -1.0])
     @pytest.mark.filterwarnings("error")

@@ -179,13 +179,10 @@ def command_lines(draw):
 def test_cli_exit_codes_on_fuzzed_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code, refused_by_argparse = main(argv), False
-        except SystemExit as exc:  # argparse's own usage error
-            code, refused_by_argparse = exc.code, True
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
-    if code == 2 and not refused_by_argparse:
+    if code == 2:
         diagnostic = json.loads(err.getvalue().splitlines()[-1])
         assert set(diagnostic["error"]) == {"type", "message"}
 
