@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import require_positive_int
 from .dynamics import flow
 from .errors import InvalidArgumentError, ShellQMError
 from .experiments import MAX_TRIALS, run_trials, verification_suite
@@ -27,6 +26,7 @@ from .rng import RNG_ID
 from .scenario import Scenario, parse_scenario
 
 COMMANDS = ("spectrum", "probs", "mean", "evolve", "sample", "verify")
+MAX_SAMPLES = 10**5  # evolve holds every row until it writes: up to 23 KB and 0.5 ms per row at d = 64
 
 
 def _fmt(x: float) -> str:
@@ -54,7 +54,9 @@ def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(meta: dict, payload: dict) -> str:
-    return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
+    # numpy arrays in a payload are written as (nested) lists
+    return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True,
+                      default=np.ndarray.tolist) + "\n"
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
@@ -76,26 +78,19 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
 
     if command == "spectrum":
         es = eigh(obs)
-        cluster_of = {}
-        for cid, members in enumerate(es.clusters):
-            for k in members:
-                cluster_of[k] = cid
         header = ["level", "eigenvalue", "cluster"]
-        rows = [[n + 1, float(es.eigenvalues[n]), cluster_of[n]] for n in range(es.dimension)]
+        rows = [[n + 1, float(es.eigenvalues[n]), int(es.cluster[n])] for n in range(es.dimension)]
         payload = {
-            "eigenvalues": es.eigenvalues.tolist(),
-            "clusters": [list(c) for c in es.clusters],
-            "eigenvectors_re": es.eigenvectors.real.tolist(),
-            "eigenvectors_im": es.eigenvectors.imag.tolist(),
+            "eigenvalues": es.eigenvalues,
+            "clusters": np.split(np.arange(es.dimension), np.flatnonzero(np.diff(es.cluster)) + 1),
+            "eigenvectors_re": es.eigenvectors.real,
+            "eigenvectors_im": es.eigenvectors.imag,
         }
     elif command == "probs":
         dist = born_probabilities(obs, state)
         header = ["outcome", "probability"]
         rows = [[float(v), float(p)] for v, p in dist.outcomes]
-        payload = {
-            "values": dist.values.tolist(),
-            "probabilities": dist.probabilities.tolist(),
-        }
+        payload = {"values": dist.values, "probabilities": dist.probabilities}
     elif command == "mean":
         mean = mean_value(obs, state)
         direct = evaluate_observable(obs, state) / state.hbar
@@ -119,7 +114,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
                 row += [float(comp[k].real), float(comp[k].imag)]
             row.append(evolved.norm_squared() - state.hbar)
             rows.append(row)
-            trajectory.append({"t": float(t), "re": comp.real.tolist(), "im": comp.imag.tolist()})
+            trajectory.append({"t": float(t), "re": comp.real, "im": comp.imag})
         payload = {"trajectory": trajectory}
     elif command == "sample":
         table = run_trials(obs, state, trials, seed)
@@ -129,12 +124,8 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
              float(table.frequencies[k]), float(table.reference[k])]
             for k in range(len(table.values))
         ]
-        payload = {
-            "values": table.values.tolist(),
-            "counts": table.counts.tolist(),
-            "frequencies": table.frequencies.tolist(),
-            "reference": table.reference.tolist(),
-        }
+        payload = {"values": table.values, "counts": table.counts,
+                   "frequencies": table.frequencies, "reference": table.reference}
     elif command == "verify":
         reports = verification_suite(obs, state, trials, seed)
         payload = {
@@ -175,7 +166,8 @@ def _parse_tol(pairs: list[str]) -> dict:
 def _check_ranges(args: argparse.Namespace) -> None:
     if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
         raise InvalidArgumentError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
-    require_positive_int(args.samples, "--samples")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise InvalidArgumentError(f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}")
     if not np.isfinite(args.time):
         raise InvalidArgumentError(f"--time must be finite, got {args.time}")
 
@@ -218,13 +210,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         text = Path(args.scenario).read_bytes()
-    except OSError as exc:
-        _diagnostic("IOError", str(exc))
-        return 2
-    try:
         _check_ranges(args)
         scenario = parse_scenario(text, overrides=tol_overrides)
         return dispatch(args.command, scenario, args)
+    except OSError as exc:  # reading the scenario or writing the output
+        _diagnostic("IOError", str(exc))
+        return 2
     except ShellQMError as exc:
         _diagnostic(type(exc).__name__, str(exc))
         return 2

@@ -148,11 +148,18 @@ def chi_square(table: FrequencyTable) -> VerificationReport:
 
     Outcomes with expected count below the pooling threshold are pooled;
     passes when the statistic is at or below the 99.9th chi-square percentile
-    for the post-pooling degrees of freedom.
+    for the post-pooling degrees of freedom.  When pooling leaves a single
+    category even at MAX_TRIALS (a state certain of one outcome, up to thin
+    tails), there is nothing to test: the report has zero degrees of freedom,
+    statistic and threshold 0, and passes.  Raises InsufficientTrialsError
+    when more trials would leave two categories or more.
     """
-    expected = table.reference * table.trials
-    observed, expected = _pooled(table.counts.astype(float), expected)
+    digest = {"dimension": len(table.reference), "seed": table.seed, "trials": table.trials}
+    observed, expected = _pooled(table.counts.astype(float), table.reference * table.trials)
     if len(expected) < 2:
+        most = table.reference * MAX_TRIALS
+        if len(_pooled(most, most)[1]) < 2:  # no number of trials leaves a second category
+            return VerificationReport("chi-square", 0.0, 0.0, True, digest)
         raise InsufficientTrialsError(
             f"pooling left {len(expected)} category(ies); increase trials"
         )
@@ -164,7 +171,7 @@ def chi_square(table: FrequencyTable) -> VerificationReport:
         statistic=statistic,
         threshold=threshold,
         passed=statistic <= threshold,
-        digest={"dimension": len(table.reference), "seed": table.seed, "trials": table.trials},
+        digest=digest,
     )
 
 

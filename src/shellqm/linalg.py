@@ -30,22 +30,21 @@ class EigenSystem:
 
     eigenvalues are ascending; column k of `eigenvectors` is the unit-norm
     eigenvector of eigenvalues[k], phase-fixed so its first above-threshold
-    component is real positive.  `clusters` partitions the indices into groups
-    of eigenvalues equal within the relative tolerance TOL_CLUSTER; each
-    cluster is one measurement outcome.
+    component is real positive.  Eigenvalues equal within the relative
+    tolerance TOL_CLUSTER form one degeneracy cluster, one measurement
+    outcome: `cluster[n]` is the outcome index of eigenvalue n (0 first, never
+    decreasing) and `cluster_values[k]` the member mean of outcome k.  All
+    four arrays are read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
+    cluster: np.ndarray
+    cluster_values: np.ndarray
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def cluster_values(self) -> np.ndarray:
-        """Representative value (member mean) of each degeneracy cluster."""
-        return np.array([float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters])
 
     def reconstruct(self) -> np.ndarray:
         """Sum of a_n |a_n><a_n| over the spectrum."""
@@ -98,18 +97,13 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _cluster_indices(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Group ascending eigenvalues whose consecutive relative gap is within
-    TOL_CLUSTER (transitive closure along the sorted order)."""
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, values.shape[0]):
-        prev, cur = values[k - 1], values[k]
-        scale = max(1.0, abs(prev), abs(cur))
-        if cur - prev <= TOL_CLUSTER * scale:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return tuple(tuple(c) for c in clusters)
+def _cluster_labels(values: np.ndarray) -> np.ndarray:
+    """Outcome index of each ascending eigenvalue: a new cluster starts where
+    the gap to the previous value exceeds TOL_CLUSTER relative (transitive
+    closure along the sorted order)."""
+    prev, cur = values[:-1], values[1:]
+    scale = np.maximum(1.0, np.maximum(np.abs(prev), np.abs(cur)))
+    return np.concatenate(([0], np.cumsum(~(cur - prev <= TOL_CLUSTER * scale))))
 
 
 def eigh(observable: HermitianObservable) -> EigenSystem:
@@ -168,20 +162,18 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
     values = values[order]
     vectors = v[:, order]
 
-    clusters = _cluster_indices(values)
-    # Deterministic order inside a cluster: by largest-modulus component index.
-    # Eigenvalues stay in sorted order; members of a cluster agree to within
-    # the cluster tolerance, so the pairing is unaffected at that resolution.
-    for cluster in clusters:
-        if len(cluster) > 1:
-            sub = list(cluster)
-            keys = [int(np.argmax(np.abs(vectors[:, k]))) for k in sub]
-            vectors[:, sub] = vectors[:, [k for _, k in sorted(zip(keys, sub))]]
+    cluster = _cluster_labels(values)
+    # Deterministic order inside a cluster: by largest-modulus component index,
+    # ties by position (lexsort is stable).  Eigenvalues stay in sorted order;
+    # members of a cluster agree to within the cluster tolerance, so the
+    # pairing is unaffected at that resolution.
+    vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
     for k in range(d):
         vectors[:, k] = phase_fix(vectors[:, k])
-    vectors.setflags(write=False)
-    values.setflags(write=False)
-    return EigenSystem(values, vectors, clusters)
+    cluster_values = np.bincount(cluster, values) / np.bincount(cluster)
+    for array in (values, vectors, cluster, cluster_values):
+        array.setflags(write=False)
+    return EigenSystem(values, vectors, cluster, cluster_values)
 
 
 def commutator(a: HermitianObservable, b: HermitianObservable) -> np.ndarray:

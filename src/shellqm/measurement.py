@@ -77,7 +77,6 @@ class ProbabilityDistribution:
 
     values: np.ndarray         # representative value per cluster
     probabilities: np.ndarray  # in [0, 1], sum 1
-    dimension: int
 
     def __post_init__(self):
         if self.values.shape != self.probabilities.shape:
@@ -126,8 +125,7 @@ def born_probabilities(
     es = eigh(obs) if system is None else system
     amplitudes = es.eigenvectors.conj().T @ state.components
     weights = np.abs(amplitudes) ** 2 / state.hbar
-    probs = np.array([float(np.sum(weights[list(c)])) for c in es.clusters])
-    return ProbabilityDistribution(es.cluster_values(), probs, obs.dimension)
+    return ProbabilityDistribution(es.cluster_values, np.bincount(es.cluster, weights))
 
 
 def mean_value(obs: HermitianObservable, state: StateVector) -> float:
@@ -233,8 +231,7 @@ def measure(
     es = eigh(obs) if system is None else system
     dist = born_probabilities(obs, state, system=es)
     k = int(outcome_index(dist.probabilities, rng.random()))
-    members = list(es.clusters[k])
-    vectors = es.eigenvectors[:, members]
+    vectors = es.eigenvectors[:, es.cluster == k]
     projected = vectors @ (vectors.conj().T @ state.components)
     norm = float(np.linalg.norm(projected))
     if norm < TOL_ZERO * np.sqrt(state.hbar):

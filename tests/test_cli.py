@@ -8,7 +8,7 @@ import pytest
 import shellqm.experiments
 import shellqm.rng
 import shellqm.scenario
-from shellqm.cli import COMMANDS, main
+from shellqm.cli import COMMANDS, MAX_SAMPLES, main
 from shellqm.core import TOL_HERM
 from shellqm.errors import ScenarioParseError, ScenarioValidationError
 from shellqm.experiments import MAX_TRIALS
@@ -517,6 +517,50 @@ class TestDispatch:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ScenarioParseError"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("target", ["existing-file", "under-a-file"])
+    def test_write_failure_exits_2(self, tmp_path, capsys, command, target):
+        # a failed write is an input error, never exit 1 (a failed verification)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken if target == "existing-file" else taken / "sub"
+        scen = self.write_scenario(tmp_path)
+        assert main([command, "--scenario", scen, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "IOError"
+        assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**30], ids=["cap+1", "1e30"])
+    def test_samples_above_cap_exit_2(self, tmp_path, capsys, samples):
+        scen = self.write_scenario(tmp_path)
+        assert main(["evolve", "--scenario", scen, "--samples", str(samples),
+                     "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "InvalidArgumentError"
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_verify_on_an_eigenstate_exits_0(self, tmp_path):
+        # one outcome is certain: no number of trials gives the chi-square
+        # test a second category, so it has zero degrees of freedom and passes
+        scen = self.write_scenario(tmp_path, state={"re": [1, 0], "im": [0, 0]})
+        assert main(["verify", "--scenario", scen, "--trials", "100000",
+                     "--out", str(tmp_path)]) == 0
+        reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+        chi2 = next(r for r in reports if r["name"] == "chi-square")
+        assert (chi2["statistic"], chi2["threshold"], chi2["passed"]) == (0.0, 0.0, True)
+        assert set(chi2["digest"]) == {"dimension", "seed", "trials"}
+
+    def test_verify_with_a_thin_outcome_and_few_trials_exits_2(self, tmp_path, capsys):
+        # the second outcome has probability 1e-6: more trials would test it
+        scen = self.write_scenario(tmp_path, state={"re": [1, 1e-3], "im": [0, 0]})
+        assert main(["verify", "--scenario", scen, "--trials", "100"]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"]["type"] == "InsufficientTrialsError"
 
     def test_stdout_default(self, tmp_path, capsys):
         scen = self.write_scenario(tmp_path)

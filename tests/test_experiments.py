@@ -177,6 +177,33 @@ class TestChiSquare:
         with pytest.raises(InsufficientTrialsError):
             chi_square(table)
 
+    def test_certain_outcome_has_zero_dof(self):
+        # even MAX_TRIALS would pool everything into one category
+        table = FrequencyTable(
+            trials=MAX_TRIALS,
+            values=np.array([1.0, 2.0]),
+            counts=np.array([MAX_TRIALS, 0]),
+            frequencies=np.array([1.0, 0.0]),
+            reference=np.array([1.0 - 1e-9, 1e-9]),
+            seed=3,
+        )
+        report = chi_square(table)
+        assert (report.statistic, report.threshold, report.passed) == (0.0, 0.0, True)
+        assert report.digest == {"dimension": 2, "seed": 3, "trials": MAX_TRIALS}
+
+    def test_thin_outcome_more_trials_would_test_raises(self):
+        # expected count 1e-4 now, 100 at MAX_TRIALS
+        table = FrequencyTable(
+            trials=100,
+            values=np.array([1.0, 2.0]),
+            counts=np.array([100, 0]),
+            frequencies=np.array([1.0, 0.0]),
+            reference=np.array([1.0 - 1e-6, 1e-6]),
+            seed=0,
+        )
+        with pytest.raises(InsufficientTrialsError, match="increase trials"):
+            chi_square(table)
+
     def test_pooling_merges_thin_tail(self):
         # expected counts (90, 6, 2, 2): the two thin cells pool with the
         # next smallest to clear the threshold

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellqm.linalg
 from shellqm import (
     HermitianObservable,
+    born_probabilities,
     check_hermitian,
     commutator,
     config_observable,
@@ -12,12 +15,42 @@ from shellqm import (
     make_state,
     mean_value,
     measure,
+    project_to_shell,
     unitary_propagator,
 )
+from shellqm.linalg import TOL_CLUSTER
 from shellqm.rng import master_rng
 from shellqm.errors import NotSquareError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
+
+
+def cluster_indices(values: np.ndarray) -> list[list[int]]:
+    """Group ascending eigenvalues one level at a time, joining a level to the
+    cluster before it when the gap is within TOL_CLUSTER relative: the oracle
+    for `EigenSystem.cluster`."""
+    clusters = [[0]]
+    for k in range(1, values.shape[0]):
+        prev, cur = values[k - 1], values[k]
+        scale = max(1.0, abs(prev), abs(cur))
+        if cur - prev <= TOL_CLUSTER * scale:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return clusters
+
+
+@st.composite
+def degenerate_observable_and_state(draw):
+    """U diag(v) U^H with repeated entries in v (d = 1..8) and a shell state."""
+    d = draw(st.integers(1, 8))
+    levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=d, unique=True))
+    v = np.array([levels[draw(st.integers(0, len(levels) - 1))] for _ in range(d)])
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    hbar = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    raw = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return HermitianObservable((u * v) @ u.conj().T), project_to_shell(raw, hbar)
 
 
 class TestCheckHermitian:
@@ -98,7 +131,8 @@ class TestEigh:
         a, b = eigh(obs), eigh(obs)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        assert a.clusters == b.clusters
+        assert np.array_equal(a.cluster, b.cluster)
+        assert np.array_equal(a.cluster_values, b.cluster_values)
 
     def test_phase_convention(self, rng):
         # first above-threshold component of every eigenvector is real positive
@@ -112,14 +146,52 @@ class TestEigh:
 
     def test_degenerate_clusters(self):
         es = eigh(HermitianObservable(np.eye(3, dtype=complex)))
-        assert es.clusters == ((0, 1, 2),)
+        assert es.cluster.tolist() == [0, 0, 0]
         es = eigh(config_observable(3))
-        assert es.clusters == ((0,), (1,), (2,))
+        assert es.cluster.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("raw", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]])
     def test_raw_matrix_refused(self, raw):
         with pytest.raises(TypeError, match="HermitianObservable"):
             eigh(raw)
+
+
+class TestClustersAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_observable_and_state(), st.integers(0, 2**32))
+    def test_labels_probabilities_and_collapse(self, case, seed):
+        obs, state = case
+        es = eigh(obs)
+        clusters = cluster_indices(es.eigenvalues)
+        labels = [k for k, members in enumerate(clusters) for _ in members]
+        assert es.cluster.tolist() == labels
+        # in-cluster order: by largest-modulus component, ties by position
+        keys = np.argmax(np.abs(es.eigenvectors), axis=0).tolist()
+        for members in clusters:
+            assert [n for _, n in sorted(zip([keys[n] for n in members], members))] == members
+
+        weights = np.abs(es.eigenvectors.conj().T @ state.components) ** 2 / state.hbar
+        want_probs = [float(np.sum(weights[c])) for c in clusters]
+        want_values = [float(np.mean(es.eigenvalues[c])) for c in clusters]
+        dist = born_probabilities(obs, state)
+        for c, p, want_p, value, want_value in zip(clusters, dist.probabilities, want_probs,
+                                                   dist.values, want_values):
+            if len(c) <= 7:  # np.sum adds in sequence below 8 members, as bincount does
+                assert (p, value) == (want_p, want_value)
+            else:
+                assert p == pytest.approx(want_p, rel=1e-15, abs=0.0)
+                assert value == pytest.approx(want_value, rel=1e-15, abs=0.0)
+
+        record = measure(obs, state, master_rng(seed))
+        span = es.eigenvectors[:, clusters[record.cluster]]
+        post = record.post_state.components
+        assert np.linalg.norm(post - span @ (span.conj().T @ post)) <= 1e-12 * np.sqrt(state.hbar)
+        assert record.value == es.cluster_values[record.cluster]
+
+    def test_arrays_are_read_only(self, rng):
+        es = eigh(random_hermitian(4, rng))
+        for array in (es.eigenvalues, es.eigenvectors, es.cluster, es.cluster_values):
+            assert not array.flags.writeable
 
 
 class TestEighCache:
@@ -133,7 +205,8 @@ class TestEighCache:
         fresh = eigh(HermitianObservable(obs.matrix))
         assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
         assert cached.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
-        assert cached.clusters == fresh.clusters
+        assert cached.cluster.tobytes() == fresh.cluster.tobytes()
+        assert cached.cluster_values.tobytes() == fresh.cluster_values.tobytes()
 
     def test_fresh_instance_solved_again(self, rng):
         m = random_hermitian(3, rng).matrix

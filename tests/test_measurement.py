@@ -65,17 +65,17 @@ def random_level(rng, max_d: int = 8):
 class TestSpectrum:
     def test_configuration_outcomes(self):
         es = eigh(config_observable(3))
-        assert np.allclose(es.cluster_values(), [1, 2, 3])
-        assert es.clusters == ((0,), (1,), (2,))
+        assert np.allclose(es.cluster_values, [1, 2, 3])
+        assert es.cluster.tolist() == [0, 1, 2]
 
     def test_fully_degenerate(self):
         es = eigh(HermitianObservable(np.eye(3, dtype=complex)))
-        assert es.clusters == ((0, 1, 2),)
-        assert np.allclose(es.cluster_values(), [1.0])
+        assert es.cluster.tolist() == [0, 0, 0]
+        assert np.allclose(es.cluster_values, [1.0])
 
     def test_sigma_z_outcomes(self):
         es = eigh(HermitianObservable(SIGMA_Z))
-        assert np.allclose(es.cluster_values(), [-1.0, 1.0])
+        assert np.allclose(es.cluster_values, [-1.0, 1.0])
 
 
 class TestBornProbabilities:
