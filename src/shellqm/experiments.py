@@ -16,12 +16,12 @@ from .core import HermitianObservable, StateVector, make_state, require_positive
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
-from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_index
+from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_counts
 from .phasespace import evaluate_observable
-from .rng import RNG_ID, master_rng, trial_uniforms
+from .rng import RNG_ID, master_rng, trial_chunks
 
 POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
-MAX_TRIALS = 10**8  # a run peaks near 16 B/trial: draws and their outcome indices
+MAX_TRIALS = 10**8  # bounds time only (about 2 s); run_trials holds one chunk of draws
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {
@@ -101,16 +101,19 @@ def run_trials(
     """Tally `trials` independent measurements, each from the freshly prepared
     state.
 
-    Trial i maps draw i of the seed-keyed stream through `outcome_index`,
-    the sampler `measure` uses on its one draw, so the table is reproducible
-    byte for byte and a loop of measure() calls over `master_rng(seed)`
-    tallies the same counts.
+    Trial i consumes draw i of the seed-keyed stream.  The draws come in
+    fixed chunks (`rng.trial_chunks`) and `outcome_counts` tallies each chunk
+    against the normalized CDF of `outcome_index`, the sampler `measure` uses
+    on its one draw; so memory is one chunk whatever `trials` is, the table
+    is reproducible byte for byte, and a loop of measure() calls over
+    `master_rng(seed)` tallies the same counts.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidArgumentError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dist = born_probabilities(obs, state)
-    outcomes = outcome_index(dist.probabilities, trial_uniforms(seed, trials))
-    counts = np.bincount(outcomes, minlength=len(dist.probabilities)).astype(np.int64)
+    counts = np.zeros(len(dist.probabilities), dtype=np.int64)
+    for u in trial_chunks(seed, trials):
+        counts += outcome_counts(dist.probabilities, u)
     return FrequencyTable(
         trials=trials,
         values=dist.values,

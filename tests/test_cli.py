@@ -421,8 +421,8 @@ class TestDispatch:
         def refuse(seed, n):
             raise AssertionError("no trial may be drawn")
 
-        monkeypatch.setattr(shellqm.rng, "trial_uniforms", refuse)
-        monkeypatch.setattr(shellqm.experiments, "trial_uniforms", refuse)
+        monkeypatch.setattr(shellqm.rng, "trial_chunks", refuse)
+        monkeypatch.setattr(shellqm.experiments, "trial_chunks", refuse)
         scen = self.write_scenario(tmp_path)
         for command in ("sample", "verify"):
             assert main([command, "--scenario", scen, "--trials", str(trials)]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,7 +25,8 @@ from shellqm.experiments import (
     chi2_threshold_999,
     courant_fischer_report,
 )
-from shellqm.rng import master_rng, trial_uniforms
+from shellqm.measurement import outcome_index
+from shellqm.rng import TRIAL_CHUNK, master_rng, trial_chunks
 
 from conftest import SIGMA_Z, random_hermitian, random_state
 
@@ -36,12 +39,17 @@ def equal_weight_scenario(hbar=1.0):
 
 class TestRngStreams:
     def test_vectorized_equals_sequential(self):
-        seq = master_rng(99)
-        drawn = np.array([seq.random() for _ in range(64)])
-        assert np.array_equal(trial_uniforms(99, 64), drawn)
+        for n, sizes in ((64, [64]), (2 * TRIAL_CHUNK + 3, [TRIAL_CHUNK, TRIAL_CHUNK, 3])):
+            chunks = list(trial_chunks(99, n))
+            assert [len(c) for c in chunks] == sizes
+            seq = master_rng(99)
+            drawn = np.array([seq.random() for _ in range(n)])
+            assert np.array_equal(np.concatenate(chunks), drawn)
 
     def test_prefix_stability(self):
-        assert np.array_equal(trial_uniforms(5, 10), trial_uniforms(5, 100)[:10])
+        longest = np.concatenate(list(trial_chunks(5, 2 * TRIAL_CHUNK + 3)))
+        for n in (10, TRIAL_CHUNK + 1):
+            assert np.array_equal(np.concatenate(list(trial_chunks(5, n))), longest[:n])
 
 
 class TestRunTrials:
@@ -97,7 +105,7 @@ class TestRunTrials:
         def refuse(seed, n):
             raise AssertionError("no trial may be drawn")
 
-        monkeypatch.setattr(shellqm.experiments, "trial_uniforms", refuse)
+        monkeypatch.setattr(shellqm.experiments, "trial_chunks", refuse)
         obs, state = equal_weight_scenario()
         with pytest.raises(InvalidArgumentError, match="trials"):
             run_trials(obs, state, trials, seed=0)
@@ -105,11 +113,40 @@ class TestRunTrials:
     def test_top_draws_skip_zero_probability_outcome(self, monkeypatch):
         # probabilities [1 - 5e-11, 0]: draws above their total still tally
         # on the only possible outcome
-        monkeypatch.setattr(shellqm.experiments, "trial_uniforms",
-                            lambda seed, n: np.full(n, 1.0 - 2.0**-53))
+        def top_draws(seed, n):
+            yield np.full(n, 1.0 - 2.0**-53)
+
+        monkeypatch.setattr(shellqm.experiments, "trial_chunks", top_draws)
         s = make_state([np.sqrt(1 - 5e-11), 0], hbar=1.0)
         table = run_trials(config_observable(2), s, 3, seed=0)
         assert table.counts.tolist() == [3, 0]
+
+    @pytest.mark.parametrize("trials", [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1,
+                                        2 * TRIAL_CHUNK + 3],
+                             ids=["chunk-1", "chunk", "chunk+1", "2chunk+3"])
+    def test_equals_bincount_of_outcome_index(self, rng, trials):
+        obs = random_hermitian(5, rng)
+        s = random_state(5, rng)
+        table = run_trials(obs, s, trials, seed=23)
+        ref = np.bincount(outcome_index(table.reference, master_rng(23).random(trials)),
+                          minlength=len(table.reference))
+        assert table.counts.dtype == np.int64
+        assert np.array_equal(table.counts, ref)
+
+    def test_memory_is_one_chunk_whatever_the_trials(self, rng):
+        # the caller asks only for counts, so no array grows with `trials`
+        # (2e6 draws and their indices would be 32 MB)
+        obs = random_hermitian(16, rng)
+        s = random_state(16, rng)
+        eigh(obs)  # the memoized solve is not part of the tally
+        tracemalloc.start()
+        try:
+            table = run_trials(obs, s, 2 * 10**6, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(table.counts.sum()) == 2 * 10**6
+        assert peak < 4 * 2**20
 
 
 class TestChiSquare:
