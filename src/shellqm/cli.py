@@ -75,6 +75,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
     obs = scenario.observable()
     state = scenario.state()
     meta = _meta(scenario, seed, trials)
+    structured = args.format == "structured"
 
     if command == "spectrum":
         es = eigh(obs)
@@ -104,20 +105,13 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
         for k in range(scenario.dimension):
             header += [f"re_{k + 1}", f"im_{k + 1}"]
         header.append("norm_residual")
-        rows = []
-        trajectory = []
-        for t in times:
-            evolved = flow(obs, state, float(t))
-            comp = evolved.components
-            if args.format == "structured":
-                trajectory.append({"t": float(t), "re": comp.real, "im": comp.imag})
-            else:
-                row = [float(t)]
-                for k in range(scenario.dimension):
-                    row += [float(comp[k].real), float(comp[k].imag)]
-                row.append(evolved.norm_squared() - state.hbar)
-                rows.append(row)
-        payload = {"trajectory": trajectory}
+        evolved = ((float(t), flow(obs, state, float(t))) for t in times)
+        if structured:  # build only the container this format prints
+            payload = {"trajectory": [{"t": t, "re": e.components.real, "im": e.components.imag}
+                                      for t, e in evolved]}
+        else:
+            rows = [[t, *np.column_stack((e.components.real, e.components.imag)).ravel().tolist(),
+                     e.norm_squared() - state.hbar] for t, e in evolved]
     elif command == "sample":
         table = run_trials(obs, state, trials, seed)
         header = ["outcome", "count", "frequency", "reference"]
@@ -148,7 +142,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown command {command!r}")
 
-    if args.format == "structured":
+    if structured:
         _emit(_json_text(meta, payload), args.out, f"{command}.json")
     else:
         _emit(_csv_text(meta, header, rows), args.out, f"{command}.csv")

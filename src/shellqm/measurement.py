@@ -204,27 +204,15 @@ def constrained_min(
     )
 
 
-def _normalized_cdf(probabilities: np.ndarray) -> np.ndarray:
-    """CDF divided by its total, so its last entry is exactly 1 > u for every
-    draw u in [0, 1): on-shell probabilities sum to 1 only within the shell
-    tolerance, and no draw may land on a zero-probability cluster."""
-    cdf = np.cumsum(probabilities)
-    return cdf / cdf[-1]
-
-
 def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
     """Inverse-CDF cluster index of a uniform draw u in [0, 1), or of an array
-    of draws: the sampler behind `measure`."""
-    return np.searchsorted(_normalized_cdf(probabilities), u, side="right")
+    of draws: the one sampler behind `measure` and `run_trials`.
 
-
-def outcome_counts(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-cluster count of the draws `u` that `outcome_index` would assign,
-    exactly its bincount, without per-draw indices: cluster k takes the draws
-    in [c[k-1], c[k]) of the normalized CDF c, so the first differences of
-    #{u < c[k]}, binary-searched in the sorted draws, are the tallies."""
-    below = np.searchsorted(np.sort(u), _normalized_cdf(probabilities), side="left")
-    return np.diff(below, prepend=0)
+    On-shell probabilities sum to 1 only within the shell tolerance, so the
+    CDF is divided by its total: its last entry is then exactly 1 > u, and no
+    draw lands on a zero-probability cluster."""
+    cdf = np.cumsum(probabilities)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def measure(
@@ -238,9 +226,9 @@ def measure(
     The post state is the shell-normalized projection of the input onto the
     outcome's eigenspace (cluster eigenspace for degenerate outcomes), so an
     immediate repeat measurement returns the same outcome with probability 1.
-    Maps exactly one draw from `rng` through `outcome_index`.  `run_trials`
-    tallies the same draws with `outcome_counts`, so a loop of measure() calls
-    over `master_rng(seed)` tallies exactly what `run_trials(..., seed)` does.
+    Maps exactly one draw from `rng` through `outcome_index`, as `run_trials`
+    does for each of its draws, so a loop of measure() calls over
+    `master_rng(seed)` tallies exactly what `run_trials(..., seed)` does.
     """
     es = eigh(obs) if system is None else system
     dist = born_probabilities(obs, state, system=es)

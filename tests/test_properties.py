@@ -17,7 +17,7 @@ import shellqm.measurement
 from shellqm import HermitianObservable, born_probabilities, make_state, project_to_shell
 from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
-from shellqm.measurement import outcome_counts, outcome_index
+from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
 
@@ -68,28 +68,6 @@ def test_sampler_never_returns_zero_probability_outcome(case, hbar, offset, u, u
     probs = born_probabilities(obs, make_state(raw * scale, hbar)).probabilities
     assert probs[outcome_index(probs, u)] > 0.0
     assert np.all(probs[outcome_index(probs, np.array(us))] > 0.0)
-
-
-# weights with zero entries, and entries too small to move the CDF, so that
-# the normalized CDF repeats values; they need not sum to 1
-weights = st.lists(
-    st.one_of(st.just(0.0), st.just(1e-17), st.sampled_from([0.25, 0.5]), st.floats(1e-300, 1.0)),
-    min_size=1, max_size=8,
-).filter(lambda w: sum(w) > 0.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(weights, st.lists(draws, max_size=40), st.lists(st.integers(0, 7), max_size=8))
-@example([0.0, 0.5, 0.0, 1e-17, 0.5, 0.0], [0.0, TOP_DRAW], [0, 1, 2, 3])
-def test_outcome_counts_equal_bincount_of_outcome_index(w, us, on_cdf):
-    p = np.array(w)
-    cdf = np.cumsum(p)
-    cdf = cdf / cdf[-1]
-    # draws equal to a CDF value below 1 sit exactly on a boundary
-    u = np.array(us + [cdf[k] for k in on_cdf if k < len(p) and cdf[k] < 1.0], dtype=float)
-    counts = outcome_counts(p, u)
-    assert np.array_equal(counts, np.bincount(outcome_index(p, u), minlength=len(p)))
-    assert counts.sum() == len(u)
 
 
 # ------------------------------------------------------------ CLI fuzzing
