@@ -1,14 +1,19 @@
 """The benchmark in perfbench/ drives the package through its public API.
-These tests run its warmups and its `spectral` gate in-process, so an API
-change that would break the benchmark fails here first."""
+These tests run its warmups, its `spectral` gate and its `cli` gates
+in-process, so an API change that would break the benchmark fails here
+first."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shellqm import cli
+from shellqm.experiments import random_hermitian, random_state
 from shellqm.rng import master_rng
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,3 +55,20 @@ def test_spectral_gate_passes(workloads):
     out = workloads.spectral_op(text, 0)
     assert len(out["values"]) == 4  # the pair is one outcome
     assert workloads.check_spectral(out, np.linalg.eigvalsh(matrix)) == []
+
+
+@pytest.mark.parametrize("command, d", [("spectrum", 64), ("probs", 32), ("mean", 32)])
+def test_cli_gate_passes(workloads, tmp_path, command, d):
+    """The `cli` workload's commands at the sizes that take the round-robin
+    eigensolver, gated as the benchmark gates them."""
+    rng = master_rng(d)
+    matrix = random_hermitian(d, rng).matrix
+    state = random_state(d, rng, 2.0).components
+    path = tmp_path / "scenario.json"
+    path.write_text(workloads.scenario_text(matrix, state, 2.0), encoding="utf-8")
+    argv = [command, "--scenario", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    case = workloads.CliCase(matrix, state, 2.0, str(path))
+    assert workloads.check_cli(command, argv, case, code, out.getvalue()) == []

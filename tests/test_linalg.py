@@ -18,9 +18,10 @@ from shellqm import (
     project_to_shell,
     unitary_propagator,
 )
-from shellqm.linalg import TOL_CLUSTER
+from shellqm.core import phase_fix
+from shellqm.linalg import JACOBI_REL_TOL, JACOBI_ROUND_ROBIN_D, TOL_CLUSTER, _round_robin
 from shellqm.rng import master_rng
-from shellqm.errors import NotSquareError
+from shellqm.errors import NoConvergenceError, NotSquareError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
 
@@ -239,6 +240,103 @@ class TestEighCache:
         mean_value(obs, psi)
         measure(obs, psi, master_rng(3))
         assert len(solves) == 1
+
+
+def assert_decomposes(obs: HermitianObservable, es) -> None:
+    """Ascending, orthonormal, complete, reconstructs the input, and agrees with
+    LAPACK's eigenvalues."""
+    d = obs.dimension
+    ref = np.linalg.eigvalsh(obs.matrix)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.all(np.diff(es.eigenvalues) >= 0)
+    v = es.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12 * d
+    assert np.max(np.abs(v @ v.conj().T - np.eye(d))) <= 1e-12 * d
+    assert np.max(np.abs(es.reconstruct() - obs.matrix)) <= 1e-12 * d * scale
+    assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-13 * d * scale
+
+
+class TestRoundRobin:
+    """The sweeps from JACOBI_ROUND_ROBIN_D up: disjoint rotations, one round
+    at a time."""
+
+    @pytest.mark.parametrize("d", range(2, 66))
+    def test_schedule_covers_each_pair_once_in_disjoint_rounds(self, d):
+        rounds = _round_robin(d)
+        assert len(rounds) == d + d % 2 - 1
+        seen = []
+        for p, q in rounds:
+            assert np.all(p < q)
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * p.shape[0]
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(i, j) for i in range(d) for j in range(i + 1, d)]
+        fresh = _round_robin.__wrapped__(d)
+        assert [(p.tolist(), q.tolist()) for p, q in fresh] == \
+            [(p.tolist(), q.tolist()) for p, q in rounds]
+
+    @pytest.mark.parametrize("d", [JACOBI_ROUND_ROBIN_D - 1, JACOBI_ROUND_ROBIN_D, 9, 16, 33, 64])
+    def test_random_matrices_against_lapack(self, d, rng):
+        for _ in range(3):
+            obs = random_hermitian(d, rng)
+            es = eigh(obs)
+            assert_decomposes(obs, es)
+            # nondegenerate: each eigenvector is LAPACK's up to its phase, to
+            # within the convergence target over the smallest gap
+            values, vectors = np.linalg.eigh(obs.matrix)
+            ref = np.column_stack([phase_fix(vectors[:, k]) for k in range(d)])
+            tol = 10.0 * JACOBI_REL_TOL * np.linalg.norm(obs.matrix) / np.min(np.diff(values))
+            assert np.max(np.abs(es.eigenvectors - ref)) <= tol
+
+    @pytest.mark.parametrize("d", [16, 33])
+    def test_degenerate_three_levels(self, d):
+        rng = master_rng(d)
+        levels = np.array([-2.0, 0.5, 3.0])
+        v = levels[np.arange(d) % 3]
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        matrix = (u * v) @ u.conj().T
+        obs = HermitianObservable(0.5 * (matrix + matrix.conj().T))
+        es = eigh(obs)
+        assert_decomposes(obs, es)
+        sizes = [int(np.sum(v == level)) for level in levels]
+        assert es.cluster.tolist() == [k for k, n in enumerate(sizes) for _ in range(n)]
+        assert np.allclose(es.cluster_values, levels, rtol=0.0, atol=1e-12 * d)
+        for k, level in enumerate(levels):
+            span = es.eigenvectors[:, es.cluster == k]
+            want = u[:, v == level]
+            assert np.max(np.abs(span @ span.conj().T - want @ want.conj().T)) <= 1e-12 * d
+
+    def test_block_diagonal_leaves_whole_rounds_idle(self, rng):
+        # Two 8x8 blocks: the first round pairs every index of one block with
+        # one of the other, so in every sweep it has nothing to rotate, and the
+        # exact zeros between the blocks stay exact.
+        p, q = _round_robin(16)[0]
+        assert np.all(p < 8) and np.all(q >= 8)
+        matrix = np.zeros((16, 16), dtype=complex)
+        matrix[:8, :8] = random_hermitian(8, rng).matrix
+        matrix[8:, 8:] = random_hermitian(8, rng).matrix
+        obs = HermitianObservable(matrix)
+        es = eigh(obs)
+        assert_decomposes(obs, es)
+        upper = np.any(es.eigenvectors[:8] != 0.0, axis=0)
+        lower = np.any(es.eigenvectors[8:] != 0.0, axis=0)
+        assert np.all(upper != lower)
+        assert np.sum(upper) == 8
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_scale_raises_no_warning(self, scale, rng):
+        base = random_hermitian(16, rng).matrix
+        obs = HermitianObservable(base * scale)
+        es = eigh(obs)
+        ref = np.linalg.eigvalsh(base) * scale
+        assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-13 * 16 * np.max(np.abs(ref))
+        v = es.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(16))) <= 1e-12 * 16
+
+    def test_sweep_budget_exhausted(self, rng, monkeypatch):
+        monkeypatch.setattr(shellqm.linalg, "JACOBI_SWEEPS", 1)
+        with pytest.raises(NoConvergenceError, match=r"Jacobi sweep budget \(1\) exhausted"):
+            eigh(random_hermitian(32, rng))
 
 
 class TestCommutator:
