@@ -4,18 +4,14 @@ The eigensolver is a self-contained Jacobi iteration with complex rotations,
 applied directly to the complex Hermitian matrix.  Jacobi is unconditionally
 stable for Hermitian input and highly accurate at the small dimensions this
 package targets (d up to a few dozen), with no dependency on an external
-eigensolver.  Below JACOBI_ROUND_ROBIN_D a sweep visits the pairs p < q in
-cyclic row order, one rotation at a time.  From there up a sweep is rounds
-in round-robin order (d - 1 of them, or d for odd d), and each round's
-disjoint rotations are applied as one vectorised update; at d = 2..5 the
-per-round numpy overhead costs more than the Python loop it replaces.  It
-takes only a `HermitianObservable`, whose type guarantees a square, exactly
-Hermitian matrix with a finite norm.
+eigensolver.  A sweep is rounds in round-robin order (d - 1 of them, or d
+for odd d), and each round's disjoint rotations are applied as one
+vectorised update.  It takes only a `HermitianObservable`, whose type
+guarantees a square, exactly Hermitian matrix with a finite norm.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +23,6 @@ from .errors import InvalidArgumentError, NoConvergenceError
 # Convergence and clustering controls for the Jacobi sweep.
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius norm relative to ||A||_F
 JACOBI_SWEEPS = 50
-JACOBI_ROUND_ROBIN_D = 6  # from this dimension up, a sweep is rounds of disjoint rotations
 TOL_CLUSTER = 1e-8       # relative eigenvalue gap treated as degenerate
 
 
@@ -59,56 +54,14 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p, q] (and a[q, p]) with a complex plane rotation.
-
-    For the 2x2 Hermitian block [[app, b], [conj(b), aqq]] with b = |b| w,
-    the unitary [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry
-    when tan(2*phi) solves the standard symmetric-Jacobi equation with |b|
-    in place of the real coupling.
-    """
-    b = a[p, q]
-    absb = abs(b)
-    w = b / absb
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-    if theta == 0.0:
-        t = 1.0
-    else:
-        t = -np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    sw = s * w
-    swc = s * np.conj(w)
-
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp + swc * colq
-    a[:, q] = -sw * colp + c * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp + sw * rowq
-    a[q, :] = -swc * rowp + c * rowq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp + swc * vq
-    v[:, q] = -sw * vp + c * vq
-
-
-@functools.lru_cache(maxsize=16)
 def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """One sweep's rounds for dimension d, built on first use: index arrays
-    (P, Q) with P < Q elementwise, the pairs of a round disjoint, and every
-    pair p < q in exactly one round.
+    """One sweep's rounds for dimension d >= 2: index arrays (P, Q) with P < Q
+    elementwise, the pairs of a round disjoint, and every pair p < q in
+    exactly one round.
 
     The circle method (Brent & Luk's round-robin ordering): index 0 stays put
     and the others turn one place per round.  Odd d pairs one index per round
-    with a padded dummy index d, and those pairs are dropped.  The arrays are
-    read-only because the cache shares them.
+    with a padded dummy index d, and those pairs are dropped.
     """
     n = d + d % 2
     ring = list(range(n))
@@ -116,22 +69,23 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     for _ in range(n - 1):
         pairs = [(min(x, y), max(x, y)) for x, y in zip(ring[: n // 2], reversed(ring[n // 2:]))
                  if max(x, y) < d]
-        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-        p.setflags(write=False)
-        q.setflags(write=False)
-        rounds.append((p, q))
+        rounds.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
         ring = [ring[0], ring[-1], *ring[1:-1]]
     return tuple(rounds)
 
 
 def _jacobi_rotate_round(a: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndarray,
                          skip: float) -> None:
-    """`_jacobi_rotate` for every pair (p[k], q[k]) of one round at once.
+    """Annihilate a[p[k], q[k]] (and a[q[k], p[k]]) for every pair of one
+    round with complex plane rotations.
 
-    The pairs are disjoint, so their rotations commute: all P/Q columns are
-    rotated together, then all P/Q rows, then v's columns, each element with
-    the scalar kernel's arithmetic.  Pairs whose entry is at most `skip` are
-    dropped before any division.
+    For the 2x2 Hermitian block [[app, b], [conj(b), aqq]] with b = |b| w,
+    the unitary [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry
+    when tan(2*phi) solves the standard symmetric-Jacobi equation with |b|
+    in place of the real coupling.  The pairs are disjoint, so their
+    rotations commute: all P/Q columns are rotated together, then all P/Q
+    rows, then v's columns.  Pairs whose entry is at most `skip` are dropped
+    before any division.
     """
     b = a[p, q]
     absb = np.abs(b)
@@ -142,7 +96,7 @@ def _jacobi_rotate_round(a: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndar
         p, q, b, absb = p[keep], q[keep], b[keep], absb[keep]
     w = b / absb
     theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-    # -sign(theta), with t = 1 at theta == 0 as in the scalar kernel
+    # -sign(theta), and t = 1 at theta == 0
     t = np.where(theta > 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
@@ -215,17 +169,12 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
         # Entries all below target/d cannot push the off-diagonal norm above
         # the target, so they are not worth a rotation.
         skip = target / d
+        rounds = _round_robin(d)
         for _ in range(JACOBI_SWEEPS):
             if _offdiag_norm(a) <= target:
                 break
-            if d < JACOBI_ROUND_ROBIN_D:
-                for p in range(d - 1):
-                    for q in range(p + 1, d):
-                        if abs(a[p, q]) > skip:
-                            _jacobi_rotate(a, v, p, q)
-            else:
-                for p, q in _round_robin(d):
-                    _jacobi_rotate_round(a, v, p, q, skip)
+            for p, q in rounds:
+                _jacobi_rotate_round(a, v, p, q, skip)
         else:
             raise NoConvergenceError(
                 f"Jacobi sweep budget ({JACOBI_SWEEPS}) exhausted; "

@@ -59,8 +59,8 @@ def test_spectral_gate_passes(workloads):
 
 @pytest.mark.parametrize("command, d", [("spectrum", 64), ("probs", 32), ("mean", 32)])
 def test_cli_gate_passes(workloads, tmp_path, command, d):
-    """The `cli` workload's commands at the sizes that take the round-robin
-    eigensolver, gated as the benchmark gates them."""
+    """The `cli` workload's commands at the large sizes where the eigensolver
+    is most of their time, gated as the benchmark gates them."""
     rng = master_rng(d)
     matrix = random_hermitian(d, rng).matrix
     state = random_state(d, rng, 2.0).components
