@@ -581,12 +581,22 @@ class TestGoldenOutputs:
         "verify": ["verify"],
     }
 
-    @pytest.mark.parametrize("name", sorted(COMMANDS))
-    def test_golden(self, name, tmp_path):
-        argv = self.COMMANDS[name] + ["--scenario", str(EQUAL_Q2), "--out", str(tmp_path)]
+    def assert_regenerates(self, name, scenario, golden, tmp_path):
+        argv = self.COMMANDS[name] + ["--scenario", str(scenario), "--out", str(tmp_path)]
         code = main(argv)
         assert code == 0
         ext = "json" if name == "verify" else "csv"
         produced = (tmp_path / f"{name}.{ext}").read_bytes()
-        committed = (GOLDEN / f"{name}.{ext}").read_bytes()
+        committed = (golden / f"{name}.{ext}").read_bytes()
         assert produced == committed
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_golden(self, name, tmp_path):
+        self.assert_regenerates(name, EQUAL_Q2, GOLDEN, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_golden_degenerate_d5(self, name, tmp_path):
+        # complex, non-diagonal and with a degenerate pair, so the bytes pin
+        # the eigensolver's rotations and the minimizer's Courant-Fischer levels
+        self.assert_regenerates(name, REPO / "scenarios" / "degenerate_d5.json",
+                                GOLDEN / "degenerate_d5", tmp_path)
