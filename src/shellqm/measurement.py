@@ -25,8 +25,8 @@ from .errors import (
 from .linalg import EigenSystem, eigh
 from .rng import master_rng
 
-# Gradient-descent controls (step and convergence are Frobenius-scaled).
-PG_STEP = 0.1
+# Minimizer controls: the gradient tolerance is relative to A's Frobenius
+# norm; each start gets PG_MAX_ITER Rayleigh-Ritz steps, PG_RESTARTS starts.
 PG_GRAD_TOL = 1e-9
 PG_MAX_ITER = 10**5
 PG_RESTARTS = 8
@@ -144,17 +144,22 @@ def constrained_min(
     seed: int = 0,
     hbar: float = 1.0,
 ) -> ConstrainedMin:
-    """Minimize <psi|A|psi> over shell states orthogonal to sub.basis by
-    gradient descent on the unit sphere of the admissible subspace.
+    """Minimize <psi|A|psi> over shell states orthogonal to sub.basis by a
+    locally optimal descent on the unit sphere of the admissible subspace.
 
     With q an orthonormal basis of the complement of sub.basis (the identity at
     level 1), every admissible state is psi = sqrt(hbar) q x with |x| = 1, and
     <psi|A|psi> = hbar x^H (q^H A q) x.  So the descent runs on x: each
-    iteration takes the tangent gradient, a fixed step scaled by A's Frobenius
-    norm, and renormalizes; no iterate needs projecting and hbar only scales
-    the result.  Starts are drawn from the seed-keyed stream; on failure to
-    meet the gradient tolerance the descent restarts, and after the restart
-    budget NoConvergenceError reports the best form value found.
+    iteration forms the tangent residual r = b x - rho x of b = q^H A q at the
+    Rayleigh quotient rho = x^H b x / x^H x, the value reported, and moves x
+    to the lowest Ritz vector of b on span{x, r, p}, p being the previous
+    step's direction (LOBPCG without a preconditioner).  That span contains x,
+    so the Ritz value never increases: the observable only descends.  The 3x3
+    problem is solved by numpy, so the minimizer does not depend on the
+    eigensolver it checks, and hbar only scales the result.
+    Starts are drawn from the seed-keyed stream; a start that does not meet
+    the gradient tolerance within PG_MAX_ITER steps is restarted, and after the
+    restart budget NoConvergenceError reports the best form value found.
     """
     d = obs.dimension
     require_dim(sub.basis.shape[0], d, "basis vectors")
@@ -164,9 +169,10 @@ def constrained_min(
     q = np.linalg.qr(sub.basis, mode="complete")[0][:, sub.level - 1:]
     qh = q.conj().T
     b = qh @ obs.matrix @ q
-    fro = float(np.linalg.norm(obs.matrix)) or 1.0
-    step = PG_STEP / fro
-    grad_tol = PG_GRAD_TOL * fro
+    grad_tol = PG_GRAD_TOL * (float(np.linalg.norm(obs.matrix)) or 1.0)
+
+    def rayleigh(x, bx):
+        return float(np.real(np.vdot(x, bx))) / float(np.real(np.vdot(x, x)))
 
     rng = master_rng(seed)
     best = np.inf
@@ -177,28 +183,30 @@ def constrained_min(
         if norm < 1e-8:
             continue
         x = x * (1.0 / norm)
-        converged = False
+        previous = []  # the last step's direction, from the second step on
         for _ in range(PG_MAX_ITER):
             total_iters += 1
-            grad = 2.0 * (b @ x)
-            grad = grad - np.real(np.vdot(x, grad)) * x
-            if float(np.linalg.norm(grad)) <= grad_tol:
-                converged = True
-                break
-            x = x - step * grad
-            x = x * (1.0 / float(np.linalg.norm(x)))
-        value = float(np.real(np.vdot(x, b @ x)))
-        best = min(best, value)
-        if converged:
-            return ConstrainedMin(
-                eigenvalue=value,
-                form_value=hbar * value,
-                argmin=make_state(np.sqrt(hbar) * (q @ x), hbar),
-                iterations=total_iters,
-                restarts=restart,
-            )
+            bx = b @ x
+            value = rayleigh(x, bx)
+            r = bx - value * x
+            if 2.0 * float(np.linalg.norm(r)) <= grad_tol:
+                return ConstrainedMin(
+                    eigenvalue=value,
+                    form_value=hbar * value,
+                    argmin=make_state(np.sqrt(hbar) * (q @ x), hbar),
+                    iterations=total_iters,
+                    restarts=restart,
+                )
+            # Householder QR keeps the basis orthonormal even when p lies in
+            # span{x, r}: the spare column is then a unit vector orthogonal to
+            # both, and the Ritz value still cannot rise
+            basis = np.linalg.qr(np.column_stack([x, r, *previous]))[0]
+            y = np.linalg.eigh(basis.conj().T @ b @ basis)[1][:, 0]
+            previous = [basis[:, 1:] @ y[1:]]
+            x = basis @ y
+        best = min(best, rayleigh(x, b @ x))
     raise NoConvergenceError(
-        f"gradient descent did not converge after {PG_RESTARTS} restarts "
+        f"minimizer did not converge after {PG_RESTARTS} restarts "
         f"(best form value {hbar * best:.12g})",
         best_value=hbar * best,
     )

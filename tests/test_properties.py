@@ -1,10 +1,12 @@
 """Property-based tests: Born probabilities and the shared sampler over
-random Hermitian matrices and shell states, the CLI's exit-code contract
-over fuzzed scenario documents and fuzzed command lines, and loose tolerance
-overrides that admit a scenario and then never fail it."""
+random Hermitian matrices and shell states, a minimizer that only descends,
+the CLI's exit-code contract over fuzzed scenario documents and fuzzed
+command lines, and loose tolerance overrides that admit a scenario and then
+never fail it."""
 
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 from unittest import mock
@@ -14,9 +16,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import shellqm.measurement
-from shellqm import HermitianObservable, born_probabilities, make_state, project_to_shell
+from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities, constrained_min,
+                     make_state, project_to_shell)
 from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
+from shellqm.errors import NoConvergenceError
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
@@ -68,6 +72,43 @@ def test_sampler_never_returns_zero_probability_outcome(case, hbar, offset, u, u
     probs = born_probabilities(obs, make_state(raw * scale, hbar)).probabilities
     assert probs[outcome_index(probs, u)] > 0.0
     assert np.all(probs[outcome_index(probs, np.array(us))] > 0.0)
+
+
+# ------------------------------------------------- the minimizer descends
+
+
+@st.composite
+def observable_and_level(draw):
+    """A random Hermitian matrix (d = 2..8), a level of it and its admissible
+    subspace, with the lower eigenvectors taken from numpy."""
+    d = draw(st.integers(2, 8))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    obs = HermitianObservable(0.5 * (g + g.conj().T))
+    n = draw(st.integers(1, d))
+    return obs, AdmissibleSubspace(level=n, basis=np.linalg.eigh(obs.matrix)[1][:, : n - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(observable_and_level(), st.integers(0, 2**32))
+def test_minimizer_only_descends(case, seed):
+    """The paper's assumption i): the measured observable relaxes towards its
+    minimum over the admissible states.  Under budgets of 1, 2, 3, ... steps
+    per start, the best value that NoConvergenceError reports never rises,
+    and the converged minimum lies below all of them."""
+    obs, sub = case
+    slack = 1e-14 * float(np.linalg.norm(obs.matrix))
+    best = np.inf
+    for budget in itertools.count(1):
+        with mock.patch.object(shellqm.measurement, "PG_MAX_ITER", budget):
+            try:
+                value = constrained_min(obs, sub, seed=seed).eigenvalue
+            except NoConvergenceError as err:
+                assert err.best_value <= best + slack
+                best = err.best_value
+                continue
+        assert value <= best + slack
+        return
 
 
 # ------------------------------------------------------------ CLI fuzzing
