@@ -21,6 +21,7 @@ from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities
 from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
 from shellqm.errors import NoConvergenceError
+from shellqm.experiments import random_hermitian
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
@@ -82,9 +83,7 @@ def observable_and_level(draw):
     """A random Hermitian matrix (d = 2..8), a level of it and its admissible
     subspace, with the lower eigenvectors taken from numpy."""
     d = draw(st.integers(2, 8))
-    rng = master_rng(draw(st.integers(0, 2**32)))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    obs = HermitianObservable(0.5 * (g + g.conj().T))
+    obs = random_hermitian(d, master_rng(draw(st.integers(0, 2**32))))
     n = draw(st.integers(1, d))
     return obs, AdmissibleSubspace(level=n, basis=np.linalg.eigh(obs.matrix)[1][:, : n - 1])
 
