@@ -35,7 +35,8 @@ class NotSquareError(ShellQMError):
 
 
 class NonRealValueError(ShellQMError):
-    """A quantity that must be real carries a non-negligible imaginary part."""
+    """A Poisson bracket evaluated to a non-finite value.  Observable values
+    need no such check: their kernels are exactly Hermitian."""
 
 
 class NotVanishingAtRestError(ShellQMError):

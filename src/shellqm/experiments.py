@@ -225,9 +225,7 @@ def random_state(d: int, rng: np.random.Generator, hbar: float = 1.0) -> StateVe
     return make_state(raw * np.sqrt(hbar) / np.linalg.norm(raw), hbar)
 
 
-def courant_fischer_report(
-    obs: HermitianObservable, seed: int, hbar: float = 1.0
-) -> VerificationReport:
+def courant_fischer_report(obs: HermitianObservable, seed: int) -> VerificationReport:
     """Compare constrained minimization at every level against the
     eigensolver; the statistic is the worst relative deviation."""
     es = eigh(obs)
@@ -237,11 +235,11 @@ def courant_fischer_report(
         sub = AdmissibleSubspace.for_level(es, n)
         target = float(es.eigenvalues[n - 1])
         try:
-            result = constrained_min(obs, sub, seed=seed + n, hbar=hbar)
+            result = constrained_min(obs, sub, seed=seed + n)
             dev = abs(result.eigenvalue - target) / max(1.0, abs(target))
         except NoConvergenceError as err:
             best = err.best_value if err.best_value is not None else np.inf
-            dev = abs(best / hbar - target) / max(1.0, abs(target))
+            dev = abs(best - target) / max(1.0, abs(target))
             failed = True
         worst = max(worst, dev)
     return VerificationReport(
@@ -301,6 +299,6 @@ def verification_suite(
     return [
         _mean_report(obs, state, table),
         chi_square(table),
-        courant_fischer_report(obs, seed, hbar=state.hbar),
+        courant_fischer_report(obs, seed),
         norm_conservation_report(obs, state, seed),
     ]

@@ -32,8 +32,8 @@ class EigenSystem:
 
     eigenvalues are ascending; column k of `eigenvectors` is the unit-norm
     eigenvector of eigenvalues[k], phase-fixed so its first above-threshold
-    component is real positive.  Eigenvalues equal within the relative
-    tolerance TOL_CLUSTER form one degeneracy cluster, one measurement
+    component is real positive.  Eigenvalues closer than TOL_CLUSTER times
+    the spectral radius form one degeneracy cluster, one measurement
     outcome: `cluster[n]` is the outcome index of eigenvalue n (0 first, never
     decreasing) and `cluster_values[k]` the member mean of outcome k.  All
     four arrays are read-only.
@@ -124,11 +124,10 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 def _cluster_labels(values: np.ndarray) -> np.ndarray:
     """Outcome index of each ascending eigenvalue: a new cluster starts where
-    the gap to the previous value exceeds TOL_CLUSTER relative (transitive
-    closure along the sorted order)."""
-    prev, cur = values[:-1], values[1:]
-    scale = np.maximum(1.0, np.maximum(np.abs(prev), np.abs(cur)))
-    return np.concatenate(([0], np.cumsum(~(cur - prev <= TOL_CLUSTER * scale))))
+    the gap to the previous value exceeds TOL_CLUSTER times the spectral
+    radius, the scale of every eigenvalue's rounding error."""
+    scale = max(1.0, -float(values[0]), float(values[-1]))
+    return np.concatenate(([0], np.cumsum(~(np.diff(values) <= TOL_CLUSTER * scale))))
 
 
 def eigh(observable: HermitianObservable) -> EigenSystem:

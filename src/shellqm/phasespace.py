@@ -25,9 +25,6 @@ from .core import (
 )
 from .errors import NonRealValueError, NotVanishingAtRestError
 
-# Imaginary residue above this signals a non-Hermitian kernel slipped through.
-REAL_RESIDUE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class BracketValue:
@@ -67,34 +64,27 @@ def shell_residual(pt: PhaseSpacePoint, params: OscillatorParams) -> float:
     return energy_form - params.hbar
 
 
-def _real_part(total: complex, context: str) -> float:
-    resid = abs(total.imag)
-    if resid > REAL_RESIDUE_TOL * max(1.0, abs(total)):
-        raise NonRealValueError(f"{context}: imaginary residue {resid:.3e}")
-    return float(total.real)
-
-
 def evaluate_observable(obs: HermitianObservable, state: StateVector) -> float:
-    """Value of the Hermitian form <psi|A|psi> at the state."""
+    """Value of the Hermitian form <psi|A|psi> at the state.  A is exactly
+    Hermitian, so the form is real: the computed imaginary part is rounding."""
     require_dim(state.dimension, obs.dimension, "state")
-    total = np.vdot(state.components, obs.matrix @ state.components)
-    return _real_part(complex(total), "observable value")
+    return float(np.vdot(state.components, obs.matrix @ state.components).real)
 
 
 def evaluate_general(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:
     """Value of a general quadratic observable at arbitrary complex coordinates.
 
     constant + 2 Re(sum conj(A_n) psi_n) + <psi|A|psi>
-             + 2 Re(sum B_nm conj(psi_n) conj(psi_m)).
+             + 2 Re(sum B_nm conj(psi_n) conj(psi_m)),
+    each term real (the stored A is exactly Hermitian).
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     require_dim(psi.shape[0], gen.dimension, "coordinates")
     linear = 2.0 * np.real(np.vdot(gen.linear, psi))
-    hermitian = np.vdot(psi, gen.hermitian @ psi)
+    hermitian = np.vdot(psi, gen.hermitian @ psi).real
     conj_psi = np.conj(psi)
     anomalous = 2.0 * np.real(conj_psi @ gen.anomalous @ conj_psi)
-    total = gen.constant + linear + complex(hermitian) + anomalous
-    return _real_part(total, "general observable value")
+    return float(gen.constant + linear + hermitian + anomalous)
 
 
 def grad_conj(obs: HermitianObservable, psi: np.ndarray) -> np.ndarray:
@@ -126,42 +116,34 @@ def hermitian_from_function(
 ) -> HermitianObservable:
     """Extract the Hermitian kernel of a black-box quadratic observable.
 
-    Builds A_nm from central mixed second differences of f with respect to
-    (psi_n*, psi_m) at the origin (Wirtinger second derivatives combined from
-    the real and imaginary coordinate directions), then symmetrizes to exact
-    Hermiticity.  For f already a Hermitian form this recovers its matrix
-    within O(step^2) plus rounding.  f must vanish at rest: |f(0)| <= 1e-6.
+    form(u) = u^H A u is half the mean of f's central second differences
+    along u and i u (the anomalous term flips sign between them; the linear
+    one is odd).
+    Polarization gives Re A_nm = (form(e_n + e_m) - form(e_n - e_m)) / 4 and
+    Im A_nm = (form(e_n - i e_m) - form(e_n + i e_m)) / 4; the lower triangle
+    mirrors the upper, so the result is exactly Hermitian.  8 d^2 - 4 d + 1
+    calls of f.  f must vanish at rest: |f(0)| <= 1e-6.
     """
     require_positive_int(d, "dimension")
     require_positive(step, "step")
-    zero = np.zeros(d, dtype=complex)
-    f0 = float(f(zero))
+    f0 = float(f(np.zeros(d, dtype=complex)))
     if abs(f0) > 1e-6:
         raise NotVanishingAtRestError(f"|f(0)| = {abs(f0):.3e} exceeds 1e-6")
 
-    # Real coordinate directions: index u < d is Re(psi_u), u >= d is Im(psi_(u-d)).
-    def direction(u: int) -> np.ndarray:
-        e = np.zeros(d, dtype=complex)
-        e[u % d] = 1.0 if u < d else 1.0j
-        return e
-
     h = step
+    eye = np.eye(d, dtype=complex)
 
-    def second(u: int, v: int) -> float:
-        eu, ev = direction(u), direction(v)
-        if u == v:
-            return (f(h * eu) - 2.0 * f0 + f(-h * eu)) / (h * h)
-        return (
-            f(h * (eu + ev)) - f(h * (eu - ev)) - f(h * (ev - eu)) + f(-h * (eu + ev))
-        ) / (4.0 * h * h)
+    def form(u: np.ndarray) -> float:
+        along_u = f(h * u) - 2.0 * f0 + f(-h * u)
+        along_iu = f(1j * h * u) - 2.0 * f0 + f(-1j * h * u)
+        return 0.25 * (along_u / (h * h) + along_iu / (h * h))
 
     kernel = np.zeros((d, d), dtype=complex)
     for n in range(d):
-        for m in range(d):
-            xx = second(n, m)
-            yy = second(n + d, m + d)
-            yx = second(n + d, m)
-            xy = second(n, m + d)
-            kernel[n, m] = 0.25 * ((xx + yy) + 1j * (yx - xy))
-    kernel = 0.5 * (kernel + kernel.conj().T)
+        kernel[n, n] = form(eye[n])
+        for m in range(n + 1, d):
+            re = form(eye[n] + eye[m]) - form(eye[n] - eye[m])
+            im = form(eye[n] - 1j * eye[m]) - form(eye[n] + 1j * eye[m])
+            kernel[n, m] = 0.25 * complex(re, im)
+            kernel[m, n] = np.conj(kernel[n, m])
     return HermitianObservable(kernel)

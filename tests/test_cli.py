@@ -503,6 +503,18 @@ class TestDispatch:
         golden = (1.5 + np.array([-1, 1]) * np.sqrt(5) / 2) * 1e150
         assert np.allclose([float(r[1]) for r in rows], golden, rtol=1e-12)
 
+    @pytest.mark.parametrize("command", ["mean", "verify"])
+    def test_value_near_zero_of_a_wide_spectrum_exits_0(self, tmp_path, command):
+        # outcomes +-4.4e11 and a mean near 0: the form's computed imaginary
+        # part, about 1e-5, is rounding of the size eps * ||A||, not an error
+        wide = {"re": [[105438515737.25232, 420914237689.9385],
+                       [420914237689.9385, -105438515737.25226]],
+                "im": [[0.0, -77391413239.87003], [77391413239.87003, 0.0]]}
+        state = {"re": [-1.3773528080208324, 0.1621371839109152],
+                 "im": [0.21531622711820916, 0.17392440360727307]}
+        scen = self.write_scenario(tmp_path, observable=wide, state=state, seed=1, trials=10000)
+        assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("text", [
         scenario_text(hbar=10**400),
         scenario_text(state={"re": [10**400, 1], "im": [0, 0]}),

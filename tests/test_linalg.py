@@ -28,13 +28,12 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
 
 def cluster_indices(values: np.ndarray) -> list[list[int]]:
     """Group ascending eigenvalues one level at a time, joining a level to the
-    cluster before it when the gap is within TOL_CLUSTER relative: the oracle
-    for `EigenSystem.cluster`."""
+    cluster before it when the gap is within TOL_CLUSTER times the spectral
+    radius: the oracle for `EigenSystem.cluster`."""
     clusters = [[0]]
+    scale = max(1.0, float(np.max(np.abs(values))))
     for k in range(1, values.shape[0]):
-        prev, cur = values[k - 1], values[k]
-        scale = max(1.0, abs(prev), abs(cur))
-        if cur - prev <= TOL_CLUSTER * scale:
+        if values[k] - values[k - 1] <= TOL_CLUSTER * scale:
             clusters[-1].append(k)
         else:
             clusters.append([k])
@@ -150,6 +149,18 @@ class TestEigh:
         assert es.cluster.tolist() == [0, 0, 0]
         es = eigh(config_observable(3))
         assert es.cluster.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("s", [10.0**k for k in range(2, 13)])
+    def test_degenerate_zero_of_a_wide_spectrum_is_one_outcome(self, s):
+        # the doubled 0 comes out about eps * s apart, far above 1e-8 at large
+        # s, so the gap is judged against the spectral radius, not against 0
+        rng = master_rng(int(np.log10(s)))
+        for _ in range(20):
+            u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            m = (u * np.array([-s, 0.0, 0.0, s])) @ u.conj().T
+            es = eigh(HermitianObservable(0.5 * (m + m.conj().T)))
+            assert es.cluster.tolist() == [0, 1, 1, 2]
+            assert np.allclose(es.cluster_values, [-s, 0.0, s], rtol=0.0, atol=1e-12 * s)
 
     @pytest.mark.parametrize("raw", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]])
     def test_raw_matrix_refused(self, raw):

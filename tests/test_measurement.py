@@ -15,7 +15,8 @@ from shellqm import (
     states_equal,
     unitary_propagator,
 )
-from shellqm.errors import DimensionMismatchError, InvalidArgumentError
+from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
+                            InvalidArgumentError)
 from shellqm.measurement import PG_GRAD_TOL, PG_MAX_ITER, PG_RESTARTS, outcome_index
 from shellqm.rng import master_rng
 
@@ -378,6 +379,19 @@ class TestMeasure:
         rec = measure(config_observable(2), s, TopDraw())
         assert rec.value == 1.0
         assert rec.cluster == 0
+
+    def test_collapse_onto_a_vanishing_projection(self):
+        # the draw 0.0 selects outcome 1.0, whose amplitude is 1e-13: below
+        # TOL_ZERO * sqrt(hbar) the collapse is refused, and at 1e-11 it holds
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        with pytest.raises(DegenerateProjectionUnderflowError):
+            measure(config_observable(2), make_state([1e-13, 1.0], hbar=1.0), ZeroDraw())
+        rec = measure(config_observable(2), make_state([1e-11, 1.0], hbar=1.0), ZeroDraw())
+        assert (rec.value, rec.cluster) == (1.0, 0)
+        assert states_equal(rec.post_state, make_state([1.0, 0.0], hbar=1.0), tol=1e-12)
 
     def test_degenerate_outcome_collapses_within_eigenspace(self, rng):
         # two-fold degenerate block keeps the in-plane direction

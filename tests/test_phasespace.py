@@ -284,6 +284,23 @@ class TestHermitianFromFunction:
         got = hermitian_from_function(f, d=2).matrix
         assert np.array_equal(got, got.conj().T)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_general_observable_hermitian_part_in_8_d_squared_calls(self, rng, d):
+        # the linear and anomalous terms cancel out of every form value
+        hermitian = random_hermitian(d, rng).matrix
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        linear = rng.normal(size=d) + 1j * rng.normal(size=d)
+        gen = GeneralQuadraticObservable(0.0, linear, hermitian, g + g.T)
+        calls = []
+
+        def f(psi):
+            calls.append(psi)
+            return evaluate_general(gen, psi)
+
+        got = hermitian_from_function(f, d=d).matrix
+        assert len(calls) <= 8 * d * d + 1
+        assert np.max(np.abs(got - hermitian)) <= 1e-9 * np.max(np.abs(hermitian))
+
     def test_rejects_nonvanishing_at_rest(self):
         with pytest.raises(NotVanishingAtRestError):
             hermitian_from_function(lambda psi: 1.0, d=2)

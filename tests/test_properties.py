@@ -1,8 +1,8 @@
 """Property-based tests: Born probabilities and the shared sampler over
 random Hermitian matrices and shell states, a minimizer that only descends,
-the CLI's exit-code contract over fuzzed scenario documents and fuzzed
-command lines, and loose tolerance overrides that admit a scenario and then
-never fail it."""
+form values that are returned at every scale, the CLI's exit-code contract
+over fuzzed scenario documents and fuzzed command lines, and loose tolerance
+overrides that admit a scenario and then never fail it."""
 
 import contextlib
 import io
@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import shellqm.measurement
 from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities, constrained_min,
-                     make_state, project_to_shell)
+                     evaluate_observable, make_state, mean_value, project_to_shell)
 from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
 from shellqm.errors import NoConvergenceError
 from shellqm.experiments import random_hermitian
+from shellqm.linalg import JACOBI_REL_TOL
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
@@ -108,6 +109,26 @@ def test_minimizer_only_descends(case, seed):
                 continue
         assert value <= best + slack
         return
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 12), st.integers(0, 2**32), hbars)
+def test_form_value_near_zero_is_real_at_every_scale(d, k, seed, hbar):
+    """The value of 10^k M at a state of zero mean is rounding of the size
+    eps * ||A|| * hbar, imaginary part included: the form returns it, finite
+    and proportional to the measured mean.  The state mixes the lowest and
+    highest eigenvectors of the traceless M so that their weights cancel.
+    mean_value reads a Jacobi solve stopped at an off-diagonal mass of
+    JACOBI_REL_TOL ||A||_F, hence that bound, doubled for rounding."""
+    m = random_hermitian(d, master_rng(seed)).matrix
+    m = m - np.trace(m).real / d * np.eye(d)
+    values, vectors = np.linalg.eigh(m)
+    raw = np.sqrt(values[-1]) * vectors[:, 0] + np.sqrt(-values[0]) * vectors[:, -1]
+    obs, state = HermitianObservable(10.0**k * m), project_to_shell(raw, hbar)
+    value = evaluate_observable(obs, state)
+    assert np.isfinite(value)
+    tol = 2 * JACOBI_REL_TOL * float(np.linalg.norm(obs.matrix)) * hbar
+    assert abs(value - mean_value(obs, state) * hbar) <= tol
 
 
 # ------------------------------------------------------------ CLI fuzzing
