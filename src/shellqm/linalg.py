@@ -23,7 +23,7 @@ from .errors import InvalidArgumentError, NoConvergenceError
 # Convergence and clustering controls for the Jacobi sweep.
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius norm relative to ||A||_F
 JACOBI_SWEEPS = 50
-TOL_CLUSTER = 1e-8       # relative eigenvalue gap treated as degenerate
+TOL_CLUSTER = 1e-8       # eigenvalue gap, relative to the pair (at least 1), treated as degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +32,8 @@ class EigenSystem:
 
     eigenvalues are ascending; column k of `eigenvectors` is the unit-norm
     eigenvector of eigenvalues[k], phase-fixed so its first above-threshold
-    component is real positive.  Eigenvalues closer than TOL_CLUSTER times
-    the spectral radius form one degeneracy cluster, one measurement
+    component is real positive.  Eigenvalues equal within TOL_CLUSTER or the
+    solver's resolution (see _cluster_labels) form one degeneracy cluster, one measurement
     outcome: `cluster[n]` is the outcome index of eigenvalue n (0 first, never
     decreasing) and `cluster_values[k]` the member mean of outcome k.  All
     four arrays are read-only.
@@ -123,11 +123,11 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 
 def _cluster_labels(values: np.ndarray) -> np.ndarray:
-    """Outcome index of each ascending eigenvalue: a new cluster starts where
-    the gap to the previous value exceeds TOL_CLUSTER times the spectral
-    radius, the scale of every eigenvalue's rounding error."""
-    scale = max(1.0, -float(values[0]), float(values[-1]))
-    return np.concatenate(([0], np.cumsum(~(np.diff(values) <= TOL_CLUSTER * scale))))
+    """Outcome index of each ascending eigenvalue: a new cluster starts at a gap above
+    TOL_CLUSTER relative and above the Jacobi resolution, 100 * JACOBI_REL_TOL * radius."""
+    a = np.maximum(1.0, np.abs(values))
+    tol = np.maximum(TOL_CLUSTER * np.maximum(a[:-1], a[1:]), 100.0 * JACOBI_REL_TOL * a.max())
+    return np.concatenate(([0], np.cumsum(~(np.diff(values) <= tol))))
 
 
 def eigh(observable: HermitianObservable) -> EigenSystem:

@@ -515,6 +515,17 @@ class TestDispatch:
         scen = self.write_scenario(tmp_path, observable=wide, state=state, seed=1, trials=10000)
         assert main([command, "--scenario", scen, "--out", str(tmp_path)]) == 0
 
+    def test_small_level_of_a_wide_spectrum_verifies(self, tmp_path):
+        # 0 and 1 are distinct outcomes of diag(0, 1, 1e8): the eigenstate of
+        # 0 has mean 0 and a single outcome 0, not a merged outcome 0.5
+        diag = {"re": [[0, 0, 0], [0, 1, 0], [0, 0, 1e8]], "im": [[0] * 3] * 3}
+        state = {"re": [1, 0, 0], "im": [0, 0, 0]}
+        scen = self.write_scenario(tmp_path, dimension=3, observable=diag, state=state)
+        assert main(["probs", "--scenario", scen, "--out", str(tmp_path)]) == 0
+        _, _, rows = self.read_csv(tmp_path / "probs.csv")
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.0, 1.0), (1.0, 0.0), (1e8, 0.0)]
+        assert main(["verify", "--scenario", scen, "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("text", [
         scenario_text(hbar=10**400),
         scenario_text(state={"re": [10**400, 1], "im": [0, 0]}),

@@ -28,12 +28,15 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
 
 def cluster_indices(values: np.ndarray) -> list[list[int]]:
     """Group ascending eigenvalues one level at a time, joining a level to the
-    cluster before it when the gap is within TOL_CLUSTER times the spectral
-    radius: the oracle for `EigenSystem.cluster`."""
+    cluster before it when the gap is within TOL_CLUSTER relative, or within
+    100 * JACOBI_REL_TOL times the spectral radius: the oracle for
+    `EigenSystem.cluster`."""
     clusters = [[0]]
-    scale = max(1.0, float(np.max(np.abs(values))))
+    floor = 100.0 * JACOBI_REL_TOL * float(np.max(np.abs(values)))
     for k in range(1, values.shape[0]):
-        if values[k] - values[k - 1] <= TOL_CLUSTER * scale:
+        prev, cur = values[k - 1], values[k]
+        scale = max(1.0, abs(prev), abs(cur))
+        if cur - prev <= max(TOL_CLUSTER * scale, floor):
             clusters[-1].append(k)
         else:
             clusters.append([k])
@@ -161,6 +164,18 @@ class TestEigh:
             es = eigh(HermitianObservable(0.5 * (m + m.conj().T)))
             assert es.cluster.tolist() == [0, 1, 1, 2]
             assert np.allclose(es.cluster_values, [-s, 0.0, s], rtol=0.0, atol=1e-12 * s)
+
+    @pytest.mark.parametrize("levels", [(0.0, 1.0, 1e8), (0.0, 1.0, 1e9), (0.0, 10.0, 1e9),
+                                        (-1e9, 0.0, 1.0)])
+    def test_distinct_levels_of_a_wide_spectrum_stay_apart(self, levels):
+        # a diagonal matrix is solved exactly, so 0 and 1 are two outcomes
+        # however wide the rest of the spectrum is
+        obs = HermitianObservable(np.diag(levels).astype(complex))
+        es = eigh(obs)
+        assert es.cluster.tolist() == [0, 1, 2]
+        assert es.cluster_values.tolist() == list(levels)
+        state = make_state(np.eye(3)[levels.index(0.0)], hbar=1.0)
+        assert measure(obs, state, master_rng(0)).value == 0.0
 
     @pytest.mark.parametrize("raw", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]])
     def test_raw_matrix_refused(self, raw):
