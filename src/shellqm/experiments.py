@@ -126,24 +126,18 @@ def run_trials(
 
 def _pooled(observed: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge categories with expected count below the pooling threshold into a
-    single pool, absorbing the smallest remaining categories until the pool
-    itself clears the threshold."""
-    big = [k for k in range(len(expected)) if expected[k] >= POOL_MIN_EXPECTED]
-    small = [k for k in range(len(expected)) if expected[k] < POOL_MIN_EXPECTED]
-    pool_obs = float(np.sum(observed[small])) if small else 0.0
-    pool_exp = float(np.sum(expected[small])) if small else 0.0
-    big.sort(key=lambda k: expected[k])
-    while small and pool_exp < POOL_MIN_EXPECTED and big:
-        k = big.pop(0)
-        pool_obs += observed[k]
-        pool_exp += expected[k]
-        small.append(k)
-    obs_out = [float(observed[k]) for k in sorted(big)]
-    exp_out = [float(expected[k]) for k in sorted(big)]
-    if small:
-        obs_out.append(pool_obs)
-        exp_out.append(pool_exp)
-    return np.array(obs_out), np.array(exp_out)
+    single pool, placed last.  A pool still below the threshold absorbs the
+    smallest kept category (the first of equal ones), which clears the
+    threshold alone, so one absorption always suffices."""
+    keep, small = expected >= POOL_MIN_EXPECTED, expected < POOL_MIN_EXPECTED
+    if not small.any():
+        return observed[keep], expected[keep]
+    pool_obs, pool_exp = float(np.sum(observed[small])), float(np.sum(expected[small]))
+    if pool_exp < POOL_MIN_EXPECTED and keep.any():
+        k = np.flatnonzero(keep)[np.argmin(expected[keep])]
+        keep[k] = False
+        pool_obs, pool_exp = pool_obs + observed[k], pool_exp + expected[k]
+    return np.append(observed[keep], pool_obs), np.append(expected[keep], pool_exp)
 
 
 def chi_square(table: FrequencyTable) -> VerificationReport:
@@ -235,13 +229,10 @@ def courant_fischer_report(obs: HermitianObservable, seed: int) -> VerificationR
         sub = AdmissibleSubspace.for_level(es, n)
         target = float(es.eigenvalues[n - 1])
         try:
-            result = constrained_min(obs, sub, seed=seed + n)
-            dev = abs(result.eigenvalue - target) / max(1.0, abs(target))
+            value = constrained_min(obs, sub, seed=seed + n).eigenvalue
         except NoConvergenceError as err:
-            best = err.best_value if err.best_value is not None else np.inf
-            dev = abs(best - target) / max(1.0, abs(target))
-            failed = True
-        worst = max(worst, dev)
+            value, failed = err.best_value, True
+        worst = max(worst, abs(value - target) / max(1.0, abs(target)))
     return VerificationReport(
         name="courant-fischer",
         statistic=worst,

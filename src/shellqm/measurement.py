@@ -25,9 +25,8 @@ from .errors import (
 from .linalg import EigenSystem, eigh
 from .rng import master_rng
 
-# Minimizer controls: the gradient tolerance is relative to A's Frobenius
-# norm; each start gets PG_MAX_ITER Rayleigh-Ritz steps, PG_RESTARTS starts.
-PG_GRAD_TOL = 1e-9
+# Minimizer budget: each start gets PG_MAX_ITER Rayleigh-Ritz steps to stop
+# falling, and there are PG_RESTARTS starts.
 PG_MAX_ITER = 10**5
 PG_RESTARTS = 8
 
@@ -154,12 +153,15 @@ def constrained_min(
     Rayleigh quotient rho = x^H b x / x^H x, the value reported, and moves x
     to the lowest Ritz vector of b on span{x, r, p}, p being the previous
     step's direction (LOBPCG without a preconditioner).  That span contains x,
-    so the Ritz value never increases: the observable only descends.  The 3x3
-    problem is solved by numpy, so the minimizer does not depend on the
-    eigensolver it checks, and hbar only scales the result.
-    Starts are drawn from the seed-keyed stream; a start that does not meet
-    the gradient tolerance within PG_MAX_ITER steps is restarted, and after the
-    restart budget NoConvergenceError reports the best form value found.
+    so the Ritz value never increases: the observable only descends, and a
+    start ends at the first step that does not lower it, reporting the lowest
+    value and its vector.  Nothing scales that rule: the descent ends only
+    where rounding ends it.  The 3x3 problem is solved by numpy, so the
+    minimizer does not depend on the eigensolver it checks, and hbar only
+    scales the result.
+    Starts are drawn from the seed-keyed stream; a start still falling after
+    PG_MAX_ITER steps is restarted, and after the restart budget
+    NoConvergenceError reports the best form value found.
     """
     d = obs.dimension
     require_dim(sub.basis.shape[0], d, "basis vectors")
@@ -169,7 +171,6 @@ def constrained_min(
     q = np.linalg.qr(sub.basis, mode="complete")[0][:, sub.level - 1:]
     qh = q.conj().T
     b = qh @ obs.matrix @ q
-    grad_tol = PG_GRAD_TOL * (float(np.linalg.norm(obs.matrix)) or 1.0)
 
     def rayleigh(x, bx):
         return float(np.real(np.vdot(x, bx))) / float(np.real(np.vdot(x, x)))
@@ -183,13 +184,20 @@ def constrained_min(
         if norm < 1e-8:
             continue
         x = x * (1.0 / norm)
+        bx = b @ x
+        value = rayleigh(x, bx)
         previous = []  # the last step's direction, from the second step on
         for _ in range(PG_MAX_ITER):
             total_iters += 1
-            bx = b @ x
-            value = rayleigh(x, bx)
-            r = bx - value * x
-            if 2.0 * float(np.linalg.norm(r)) <= grad_tol:
+            # Householder QR keeps the basis orthonormal even when p lies in
+            # span{x, r}: the spare column is then a unit vector orthogonal to
+            # both, and the Ritz value still cannot rise
+            basis = np.linalg.qr(np.column_stack([x, bx - value * x, *previous]))[0]
+            y = np.linalg.eigh(basis.conj().T @ b @ basis)[1][:, 0]
+            step = basis @ y
+            b_step = b @ step
+            step_value = rayleigh(step, b_step)
+            if not step_value < value:
                 return ConstrainedMin(
                     eigenvalue=value,
                     form_value=hbar * value,
@@ -197,14 +205,9 @@ def constrained_min(
                     iterations=total_iters,
                     restarts=restart,
                 )
-            # Householder QR keeps the basis orthonormal even when p lies in
-            # span{x, r}: the spare column is then a unit vector orthogonal to
-            # both, and the Ritz value still cannot rise
-            basis = np.linalg.qr(np.column_stack([x, r, *previous]))[0]
-            y = np.linalg.eigh(basis.conj().T @ b @ basis)[1][:, 0]
             previous = [basis[:, 1:] @ y[1:]]
-            x = basis @ y
-        best = min(best, rayleigh(x, b @ x))
+            x, bx, value = step, b_step, step_value
+        best = min(best, value)
     raise NoConvergenceError(
         f"minimizer did not converge after {PG_RESTARTS} restarts "
         f"(best form value {hbar * best:.12g})",

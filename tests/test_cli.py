@@ -303,6 +303,25 @@ class TestDispatch:
         diag = json.loads(captured.err)
         assert diag["error"]["type"] == "ArgumentError"
 
+    @pytest.mark.parametrize("text, extra, kind, message", [
+        (scenario_text(), ["--tol", "shell"], "ArgumentError", "--tol expects NAME=VALUE"),
+        (scenario_text(tolerances=5), [], "ScenarioParseError", "must be an object"),
+        (scenario_text(observable={"im": [[0, 0], [0, 0]]}), [], "ScenarioParseError",
+         "needs 're' array"),
+        ("[1, 2]", [], "ScenarioParseError", "must be a JSON object"),
+    ], ids=["tol-without-value", "tolerances-not-object", "observable-without-re",
+            "document-not-object"])
+    def test_input_error_is_one_json_line(self, tmp_path, capsys, text, extra, kind, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["probs", "--scenario", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        diag = json.loads(line)["error"]
+        assert diag["type"] == kind
+        assert message in diag["message"]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -577,6 +596,16 @@ class TestDispatch:
         chi2 = next(r for r in reports if r["name"] == "chi-square")
         assert (chi2["statistic"], chi2["threshold"], chi2["passed"]) == (0.0, 0.0, True)
         assert set(chi2["digest"]) == {"dimension", "seed", "trials"}
+
+    def test_verify_on_the_lowest_level_of_a_wide_spectrum_exits_0(self, tmp_path):
+        # levels 0 and 1 lie 1e-9 of the spectral radius apart; the minimizer
+        # must keep descending until level 1 is 0, not a mix of e0 and e1
+        scen = self.write_scenario(
+            tmp_path, observable={"re": np.diag([0.0, 1.0, 1e9]).tolist(), "im": [[0] * 3] * 3},
+            state={"re": [1, 0, 0], "im": [0, 0, 0]}, dimension=3)
+        assert main(["verify", "--scenario", scen, "--out", str(tmp_path)]) == 0
+        reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+        assert next(r for r in reports if r["name"] == "courant-fischer")["statistic"] <= 1e-15
 
     def test_verify_with_a_thin_outcome_and_few_trials_exits_2(self, tmp_path, capsys):
         # the second outcome has probability 1e-6: more trials would test it

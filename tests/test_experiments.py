@@ -5,10 +5,13 @@ import pytest
 import scipy.stats
 
 import shellqm.experiments
+import shellqm.measurement
 from shellqm import (
+    AdmissibleSubspace,
     HermitianObservable,
     chi_square,
     config_observable,
+    constrained_min,
     courant_fischer_suite,
     eigh,
     make_state,
@@ -17,7 +20,7 @@ from shellqm import (
     verification_suite,
     verify_mean_value,
 )
-from shellqm.errors import InsufficientTrialsError, InvalidArgumentError
+from shellqm.errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from shellqm.experiments import (
     CHI2_999,
     MAX_TRIALS,
@@ -331,6 +334,38 @@ class TestCourantFischer:
         reports = courant_fischer_suite([2, 3], per_dim=3, seed=8)
         assert len(reports) == 6
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("levels", [(0.0, 1.0, 1e9), (0.0, 1.0, 1e9, 2e9)])
+    @pytest.mark.parametrize("rotation_seed", [1, 2, 3])
+    def test_wide_spectrum_resolves_its_low_levels(self, levels, rotation_seed):
+        # levels 0 and 1 lie 1e-9 of the spectral radius apart, so a stop
+        # rule scaled by the spectrum ends the descent on a mix of the two
+        d = len(levels)
+        rng = np.random.default_rng(rotation_seed)
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        m = u @ np.diag(levels) @ u.conj().T
+        report = courant_fischer_report(HermitianObservable(0.5 * (m + m.conj().T)), seed=0)
+        assert report.passed
+        assert report.statistic <= 1e-6
+
+    def test_exhausted_budget_fails_with_the_best_value(self, monkeypatch):
+        # one step per start cannot show that the value stopped falling, so
+        # every level with room to descend raises NoConvergenceError
+        monkeypatch.setattr(shellqm.measurement, "PG_MAX_ITER", 1)
+        obs = random_hermitian(4, master_rng(5))
+        es = eigh(obs)
+        deviations = []
+        for n in range(1, 5):
+            sub = AdmissibleSubspace.for_level(es, n)
+            try:
+                value = constrained_min(obs, sub, seed=9 + n).eigenvalue
+            except NoConvergenceError as err:
+                value = err.best_value
+            target = float(es.eigenvalues[n - 1])
+            deviations.append(abs(value - target) / max(1.0, abs(target)))
+        report = courant_fischer_report(obs, seed=9)
+        assert not report.passed
+        assert report.statistic == max(deviations) > 0.0
 
 
 class TestStatisticalSoundness:

@@ -17,7 +17,7 @@ from shellqm import (
 )
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
-from shellqm.measurement import PG_GRAD_TOL, PG_MAX_ITER, PG_RESTARTS, outcome_index
+from shellqm.measurement import PG_MAX_ITER, PG_RESTARTS, outcome_index
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -26,14 +26,15 @@ from conftest import SIGMA_Z, random_hermitian, random_state
 def projected_min(a: np.ndarray, basis: np.ndarray, seed: int, hbar: float):
     """Projected gradient descent on the shell of radius sqrt(hbar), with a
     fixed step of 0.1 / ||A||_F, projecting the start, each gradient and each
-    step off `basis`: an oracle for `constrained_min`'s minimum that shares
-    none of its algorithm.  Returns the eigenvalue."""
+    step off `basis`, until the gradient falls to 1e-9 ||A||_F hbar: an oracle
+    for `constrained_min`'s minimum that shares none of its algorithm.
+    Returns the eigenvalue."""
     def off(v):
         return v - basis @ (basis.conj().T @ v)
 
     d = a.shape[0]
     fro = float(np.linalg.norm(a)) or 1.0
-    step, grad_tol, radius = 0.1 / fro, PG_GRAD_TOL * fro * hbar, np.sqrt(hbar)
+    step, grad_tol, radius = 0.1 / fro, 1e-9 * fro * hbar, np.sqrt(hbar)
     rng = master_rng(seed)
     for _ in range(PG_RESTARTS):
         psi = off(rng.normal(size=d) + 1j * rng.normal(size=d))

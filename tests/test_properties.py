@@ -1,8 +1,9 @@
 """Property-based tests: Born probabilities and the shared sampler over
-random Hermitian matrices and shell states, a minimizer that only descends,
-form values that are returned at every scale, the CLI's exit-code contract
-over fuzzed scenario documents and fuzzed command lines, and loose tolerance
-overrides that admit a scenario and then never fail it."""
+random Hermitian matrices and shell states, chi-square pooling against a
+sorting loop, a minimizer that only descends, form values that are returned
+at every scale, the CLI's exit-code contract over fuzzed scenario documents
+and fuzzed command lines, and loose tolerance overrides that admit a scenario
+and then never fail it."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities
 from shellqm.cli import COMMANDS, main
 from shellqm.core import TOL_SHELL
 from shellqm.errors import NoConvergenceError
-from shellqm.experiments import random_hermitian
+from shellqm.experiments import POOL_MIN_EXPECTED, _pooled, random_hermitian
 from shellqm.linalg import JACOBI_REL_TOL
 from shellqm.measurement import outcome_index
 from shellqm.rng import master_rng
@@ -74,6 +75,49 @@ def test_sampler_never_returns_zero_probability_outcome(case, hbar, offset, u, u
     probs = born_probabilities(obs, make_state(raw * scale, hbar)).probabilities
     assert probs[outcome_index(probs, u)] > 0.0
     assert np.all(probs[outcome_index(probs, np.array(us))] > 0.0)
+
+
+# ------------------------------------------------------ chi-square pooling
+
+def pooled_by_sorting(observed, expected):
+    """The pooling rule as a loop: pool the categories expected below the
+    threshold, then absorb the smallest others, in a stable sort's order,
+    until the pool clears it.  An oracle for `experiments._pooled`."""
+    big = [k for k in range(len(expected)) if expected[k] >= POOL_MIN_EXPECTED]
+    small = [k for k in range(len(expected)) if expected[k] < POOL_MIN_EXPECTED]
+    pool_obs = float(np.sum(observed[small])) if small else 0.0
+    pool_exp = float(np.sum(expected[small])) if small else 0.0
+    big.sort(key=lambda k: expected[k])
+    while small and pool_exp < POOL_MIN_EXPECTED and big:
+        k = big.pop(0)
+        pool_obs += observed[k]
+        pool_exp += expected[k]
+        small.append(k)
+    obs_out = [float(observed[k]) for k in sorted(big)]
+    exp_out = [float(expected[k]) for k in sorted(big)]
+    if small:
+        obs_out.append(pool_obs)
+        exp_out.append(pool_exp)
+    return np.array(obs_out), np.array(exp_out)
+
+
+@st.composite
+def tallies(draw):
+    """Observed and expected counts of 0..8 categories; expected counts tie
+    and sit at, just below and far below the pooling threshold."""
+    size = draw(st.integers(0, 8))
+    expected = st.one_of(st.sampled_from([0.0, 1.0, 4.5, POOL_MIN_EXPECTED, 6.0]),
+                         st.floats(0.0, 50.0))
+    return (np.array(draw(st.lists(st.integers(0, 60), min_size=size, max_size=size)), float),
+            np.array(draw(st.lists(expected, min_size=size, max_size=size)), float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tallies())
+def test_pooling_absorbs_as_the_sorting_loop_does(tally):
+    for got, want in zip(_pooled(*tally), pooled_by_sorting(*tally)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- the minimizer descends
