@@ -1,6 +1,8 @@
 """Generalized flows psi-dot = -i dA/dpsi*: exact spectral solution, an
-independent fixed-step RK4 integrator for cross-checks, and the shell-defect
-functional that quantifies which quadratic generators preserve the shell.
+independent fixed-step RK4 integrator for cross-checks (its steps taken in
+blocks of precomputed step-matrix powers, every step checked against the
+shell), and the shell-defect functional that quantifies which quadratic
+generators preserve the shell.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .core import (
 from .errors import DimensionMismatchError, InvalidArgumentError, StepCountError
 from .linalg import unitary_propagator
 
-MAX_STEPS = 10**8
+MAX_STEPS = 10**8  # bounds time only (45, 56 and 300 s at d = 2, 8 and 64, from 1e6 and 1e5 steps)
 RK4_SHELL_TOL = 1e-6  # RK4 does not conserve the norm exactly; drift is measured
+RK4_BLOCK = 32  # steps per batched product, a power of two; its powers hold RK4_BLOCK * d^2 numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +64,16 @@ def flow_numeric(
     `a.matrix` alone as an independent cross-check of `flow`.
 
     For this linear ODE one RK4 step is exactly the matrix P = I + hM + (hM)^2/2
-    + (hM)^3/6 + (hM)^4/24, M = -iA, h = t/steps, formed once in Horner form.
-    Every step's state is checked against the shell at RK4_SHELL_TOL, so drift
-    raises: a scalar screen at half that bound passes it, and `make_state`
-    decides any step the screen does not.  Only the endpoints are kept.
+    + (hM)^3/6 + (hM)^4/24, M = -iA, h = t/steps, formed once in Horner form,
+    with its powers P, P^2, .., P^RK4_BLOCK by doubling.  The steps run in
+    blocks: the block's states are one batched product of the powers with the
+    state it starts from, and the last carries on to the next block.  Every
+    step's state is checked against the shell at RK4_SHELL_TOL, so drift
+    raises even mid-block: a norm screen at half that bound passes a state,
+    and `make_state` decides, in step order, every state the screen does not.
+    Powers past the first that leaves the float range are not used (a mode
+    the state does not occupy may outgrow it), so a block is then shorter.
+    Only the endpoints are kept.
     """
     require_dim(psi0.dimension, a.dimension, "state")
     require_positive_int(steps, "steps")
@@ -81,10 +90,20 @@ def flow_numeric(
             step = eye + (hm / k) @ step
         if not np.isfinite(step).all():
             raise InvalidArgumentError(f"RK4 step matrix is not finite: step {t / steps:.3e}")
-        for _ in range(steps):
-            psi = step @ psi
-            if not abs(np.vdot(psi, psi).real - hbar) <= 0.5 * RK4_SHELL_TOL * hbar:  # NaN fails
-                make_state(psi, hbar, tol=RK4_SHELL_TOL)
+        powers = step[None]
+        while powers.shape[0] < min(RK4_BLOCK, steps):
+            powers = np.concatenate((powers, powers[-1] @ powers))
+        finite = np.isfinite(powers).all(axis=(1, 2))
+        if not finite.all():
+            powers = powers[: np.argmin(finite)]
+        block = powers.shape[0]
+        for start in range(0, steps, block):
+            states = powers[: steps - start] @ psi
+            parts = states.view(float)
+            norms = (parts * parts).sum(axis=1)
+            for off in states[~(np.abs(norms - hbar) <= 0.5 * RK4_SHELL_TOL * hbar)]:  # NaN fails
+                make_state(off, hbar, tol=RK4_SHELL_TOL)
+            psi = states[-1]
     return Trajectory(np.array([0.0, t]), (psi0, make_state(psi, hbar, tol=RK4_SHELL_TOL)))
 
 

@@ -6,7 +6,8 @@ stable for Hermitian input and highly accurate at the small dimensions this
 package targets (d up to a few dozen), with no dependency on an external
 eigensolver.  A sweep is rounds in round-robin order (d - 1 of them, or d
 for odd d), and each round's disjoint rotations are applied as one
-vectorised update.  It takes only a `HermitianObservable`, whose type
+vectorised update, to the columns of the matrix and of the accumulated
+rotations at once.  It takes only a `HermitianObservable`, whose type
 guarantees a square, exactly Hermitian matrix with a finite norm.
 """
 
@@ -74,19 +75,21 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _jacobi_rotate_round(a: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndarray,
-                         skip: float) -> None:
+def _jacobi_rotate_round(av: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray,
+                         qp: np.ndarray, skip: float) -> None:
     """Annihilate a[p[k], q[k]] (and a[q[k], p[k]]) for every pair of one
     round with complex plane rotations.
 
-    For the 2x2 Hermitian block [[app, b], [conj(b), aqq]] with b = |b| w,
-    the unitary [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry
-    when tan(2*phi) solves the standard symmetric-Jacobi equation with |b|
-    in place of the real coupling.  The pairs are disjoint, so their
-    rotations commute: all P/Q columns are rotated together, then all P/Q
-    rows, then v's columns.  Pairs whose entry is at most `skip` are dropped
-    before any division.
+    `av` stacks the matrix A over the accumulated rotations V, (2d, d), and
+    pq, qp are the concatenations (p, q) and (q, p).  For the 2x2 Hermitian
+    block [[app, b], [conj(b), aqq]] with b = |b| w, the unitary
+    [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry when tan(2*phi)
+    solves the standard symmetric-Jacobi equation with |b| in place of the
+    real coupling.  The pairs are disjoint, so their rotations commute: the
+    P/Q columns of A and V are rotated together, then A's P/Q rows.  Pairs
+    whose entry is at most `skip` are dropped before any division.
     """
+    a = av[: av.shape[1]]
     b = a[p, q]
     absb = np.abs(b)
     keep = absb > skip
@@ -94,6 +97,7 @@ def _jacobi_rotate_round(a: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndar
         if not keep.any():
             return
         p, q, b, absb = p[keep], q[keep], b[keep], absb[keep]
+        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
     w = b / absb
     theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
     # -sign(theta), and t = 1 at theta == 0
@@ -105,16 +109,13 @@ def _jacobi_rotate_round(a: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndar
 
     # Entry k of pq is rotated with entry k of qp: new_p = c p + swc q on
     # columns, and new_q = c q - sw p; the rows take the conjugate mix.
-    pq = np.concatenate((p, q))
-    qp = np.concatenate((q, p))
     cc = np.concatenate((c, c))
     col_mix = np.concatenate((swc, -sw))
     row_mix = np.concatenate((sw, -swc))[:, None]
-    a[:, pq] = cc * a[:, pq] + col_mix * a[:, qp]
+    av[:, pq] = cc * av[:, pq] + col_mix * av[:, qp]
     a[pq, :] = cc[:, None] * a[pq, :] + row_mix * a[qp, :]
     a[pq, qp] = 0.0
-    a[pq, pq] = a[pq, pq].real
-    v[:, pq] = cc * v[:, pq] + col_mix * v[:, qp]
+    a.imag[pq, pq] = 0.0
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -158,22 +159,23 @@ def eigh(observable: HermitianObservable) -> EigenSystem:
 def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
     # An observable's matrix is square, exactly Hermitian (so every rotation is
     # exactly unitary) and of finite norm (so the target below is finite).
-    a = matrix.copy()
+    d = matrix.shape[0]
+    av = np.concatenate((matrix, np.eye(d, dtype=complex)))  # A over V: one column update
+    a, v = av[:d], av[d:]
     fro = float(np.linalg.norm(a))
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
 
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
         # Entries all below target/d cannot push the off-diagonal norm above
         # the target, so they are not worth a rotation.
         skip = target / d
-        rounds = _round_robin(d)
+        rounds = [(p, q, np.concatenate((p, q)), np.concatenate((q, p)))
+                  for p, q in _round_robin(d)]
         for _ in range(JACOBI_SWEEPS):
             if _offdiag_norm(a) <= target:
                 break
-            for p, q in rounds:
-                _jacobi_rotate_round(a, v, p, q, skip)
+            for p, q, pq, qp in rounds:
+                _jacobi_rotate_round(av, p, q, pq, qp, skip)
         else:
             raise NoConvergenceError(
                 f"Jacobi sweep budget ({JACOBI_SWEEPS}) exhausted; "

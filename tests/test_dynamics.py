@@ -154,9 +154,8 @@ class TestFlowNumeric:
         assert traj.states[0] is s
 
     def test_memory_does_not_grow_with_steps(self, rng):
-        a, s = random_hermitian(2, rng), random_state(2, rng)
-
-        def peak(steps):
+        # the RK4_BLOCK powers of the step matrix are formed whatever the steps
+        def peak(a, s, steps):
             tracemalloc.start()
             try:
                 flow_numeric(a, s, 1.0, steps=steps)
@@ -164,8 +163,11 @@ class TestFlowNumeric:
             finally:
                 tracemalloc.stop()
 
-        peak(20)  # warm up lazily allocated interpreter state
-        assert peak(2000) <= peak(20) + 4096
+        for d in (2, 8):
+            a, s = random_hermitian(d, rng), random_state(d, rng)
+            a = HermitianObservable(a.matrix / np.linalg.norm(a.matrix))
+            peak(a, s, 20)  # warm up lazily allocated interpreter state
+            assert peak(a, s, 2000) <= peak(a, s, 20) + 4096
 
     def test_matches_staged_rk4(self, rng):
         for _ in range(60):
@@ -179,6 +181,47 @@ class TestFlowNumeric:
             want = staged_rk4(a.matrix, s.components, t, steps)
             got = flow_numeric(a, s, t, steps).final.components
             assert np.max(np.abs(got - want)) <= 1e-13 * np.sqrt(hbar)
+
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 64, 65])
+    def test_block_edges_match_staged_rk4(self, steps, rng):
+        assert dynamics.RK4_BLOCK == 32
+        for hbar in (1e-30, 1.0, 1e30):
+            a = random_hermitian(5, rng)
+            a = HermitianObservable(a.matrix / np.linalg.norm(a.matrix))
+            s = random_state(5, rng, hbar)
+            want = staged_rk4(a.matrix, s.components, 0.1 * steps, steps)
+            got = flow_numeric(a, s, 0.1 * steps, steps).final.components
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.sqrt(hbar)
+
+    def test_unoccupied_mode_past_the_float_range(self):
+        # one step scales the unoccupied mode by |R(-600i)| = 5.4e9, so P^32
+        # overflows, while the state's own mode stays on the shell
+        a = HermitianObservable(np.diag([0.05, 600.0]).astype(complex))
+        s = make_state([1.0, 0.0], hbar=1.0)
+        got = flow_numeric(a, s, 64.0, 64).final.components
+        want = staged_rk4(a.matrix, s.components, 64.0, 64)
+        assert got[1] == 0.0 and np.max(np.abs(got - want)) <= 1e-13
+
+    def test_every_state_of_a_block_is_checked(self):
+        # weights chosen so that 128 unit steps return the norm to the shell;
+        # steps 21 to 41 drift between half the tolerance and the tolerance,
+        # so the screen flags them and make_state accepts them, step 33 among
+        # them, the first of the second block; step 42, later in that block,
+        # is the first beyond the tolerance
+        tol, steps = RK4_SHELL_TOL, 128
+        r1, r2 = rk4_norm_factor(0.11), rk4_norm_factor(2.84)
+        w2 = (1 - r1**steps) / (r2**steps - r1**steps)
+        drift = [(1 - w2) * r1**k + w2 * r2**k - 1.0 for k in range(steps + 1)]
+        assert all(-0.5 * tol <= x <= 0.0 for x in drift[:21])
+        assert all(-tol <= x < -0.5 * tol for x in drift[21:42])
+        assert drift[42] < -tol
+        a = HermitianObservable(np.diag([0.11, 2.84]).astype(complex))
+        s = make_state([np.sqrt(1 - w2), np.sqrt(w2)], hbar=1.0)
+        end = staged_rk4(a.matrix, s.components, float(steps), steps)
+        assert abs(np.vdot(end, end).real - 1.0) <= 1e-13
+        with pytest.raises(OffShellError) as err:
+            flow_numeric(a, s, float(steps), steps)
+        assert err.value.residual == pytest.approx(drift[42], rel=1e-4)
 
     def test_every_step_is_checked(self):
         # weights chosen so that 40 unit steps return the norm to the shell

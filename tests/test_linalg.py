@@ -43,6 +43,55 @@ def cluster_indices(values: np.ndarray) -> list[list[int]]:
     return clusters
 
 
+def rotate_round_apart(a, v, p, q, skip):
+    """One round-robin round with A's columns, A's rows and V's columns
+    updated one after another: the oracle for the fused update of A and V."""
+    b = a[p, q]
+    absb = np.abs(b)
+    keep = absb > skip
+    if not keep.all():
+        if not keep.any():
+            return
+        p, q, b, absb = p[keep], q[keep], b[keep], absb[keep]
+    w = b / absb
+    theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
+    t = np.where(theta > 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    sw = s * w
+    swc = s * np.conj(w)
+    pq = np.concatenate((p, q))
+    qp = np.concatenate((q, p))
+    cc = np.concatenate((c, c))
+    col_mix = np.concatenate((swc, -sw))
+    row_mix = np.concatenate((sw, -swc))[:, None]
+    a[:, pq] = cc * a[:, pq] + col_mix * a[:, qp]
+    a[pq, :] = cc[:, None] * a[pq, :] + row_mix * a[qp, :]
+    a[pq, qp] = 0.0
+    a[pq, pq] = a[pq, pq].real
+    v[:, pq] = cc * v[:, pq] + col_mix * v[:, qp]
+
+
+def three_levels(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U diag(v) U^H, v = (-2, 0.5, 3, -2, ...), for a seeded random unitary U:
+    the matrix, U and v."""
+    rng = master_rng(d)
+    v = np.array([-2.0, 0.5, 3.0])[np.arange(d) % 3]
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    matrix = (u * v) @ u.conj().T
+    return 0.5 * (matrix + matrix.conj().T), u, v
+
+
+def block_diagonal(rng) -> np.ndarray:
+    """Two random 8x8 Hermitian blocks on the diagonal: most rounds pair some
+    indices across the blocks, whose entries are exact zeros and are
+    skipped, and others inside one block."""
+    matrix = np.zeros((16, 16), dtype=complex)
+    matrix[:8, :8] = random_hermitian(8, rng).matrix
+    matrix[8:, 8:] = random_hermitian(8, rng).matrix
+    return matrix
+
+
 @st.composite
 def degenerate_observable_and_state(draw):
     """U diag(v) U^H with repeated entries in v (d = 1..8) and a shell state."""
@@ -314,12 +363,9 @@ class TestRoundRobin:
 
     @pytest.mark.parametrize("d", [16, 33])
     def test_degenerate_three_levels(self, d):
-        rng = master_rng(d)
         levels = np.array([-2.0, 0.5, 3.0])
-        v = levels[np.arange(d) % 3]
-        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-        matrix = (u * v) @ u.conj().T
-        obs = HermitianObservable(0.5 * (matrix + matrix.conj().T))
+        matrix, u, v = three_levels(d)
+        obs = HermitianObservable(matrix)
         es = eigh(obs)
         assert_decomposes(obs, es)
         sizes = [int(np.sum(v == level)) for level in levels]
@@ -336,16 +382,33 @@ class TestRoundRobin:
         # exact zeros between the blocks stay exact.
         p, q = _round_robin(16)[0]
         assert np.all(p < 8) and np.all(q >= 8)
-        matrix = np.zeros((16, 16), dtype=complex)
-        matrix[:8, :8] = random_hermitian(8, rng).matrix
-        matrix[8:, 8:] = random_hermitian(8, rng).matrix
-        obs = HermitianObservable(matrix)
+        obs = HermitianObservable(block_diagonal(rng))
         es = eigh(obs)
         assert_decomposes(obs, es)
         upper = np.any(es.eigenvectors[:8] != 0.0, axis=0)
         lower = np.any(es.eigenvectors[8:] != 0.0, axis=0)
         assert np.all(upper != lower)
         assert np.sum(upper) == 8
+
+    @pytest.mark.parametrize("case", [*(f"random-{d}" for d in (*range(2, 10), 16, 33, 64)),
+                                      "block-diagonal", "three-levels"])
+    def test_fused_round_is_bit_exact(self, case, rng, monkeypatch):
+        # signed zeros count: compare the bits
+        if case == "block-diagonal":
+            matrix = block_diagonal(rng)
+        elif case == "three-levels":
+            matrix = three_levels(33)[0]
+        else:
+            matrix = random_hermitian(int(case.split("-")[1]), rng).matrix
+        fused = shellqm.linalg._jacobi_eigh(matrix)
+        d = matrix.shape[0]
+        monkeypatch.setattr(shellqm.linalg, "_jacobi_rotate_round",
+                            lambda av, p, q, pq, qp, skip:
+                            rotate_round_apart(av[:d], av[d:], p, q, skip))
+        apart = shellqm.linalg._jacobi_eigh(matrix)
+        for name in ("eigenvalues", "eigenvectors"):
+            got, want = (np.ascontiguousarray(getattr(es, name)) for es in (fused, apart))
+            assert np.array_equal(got.view(float), want.view(float))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     @pytest.mark.filterwarnings("error")
