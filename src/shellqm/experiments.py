@@ -16,12 +16,13 @@ from .core import HermitianObservable, StateVector, make_state, require_positive
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
-from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_index
+from .measurement import (AdmissibleSubspace, _normalized_cdf, born_probabilities, constrained_min,
+                          outcome_counts)
 from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_chunks
 
 POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
-MAX_TRIALS = 10**8  # bounds time only (3 to 8 s at d = 2 to 64); run_trials holds one chunk of draws
+MAX_TRIALS = 10**8  # bounds time only (1 to 2 s at d = 2 to 64); run_trials holds one chunk of draws
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {
@@ -101,19 +102,23 @@ def run_trials(
     """Tally `trials` independent measurements, each from the freshly prepared
     state.
 
-    Trial i maps draw i of the seed-keyed stream through `outcome_index`,
-    the sampler `measure` uses on its one draw, so the table is reproducible
-    byte for byte and a loop of measure() calls over `master_rng(seed)`
-    tallies the same counts.  The draws come in fixed chunks
-    (`rng.trial_chunks`) and each chunk's bincount is added to the total, so
-    memory is one chunk whatever `trials` is.
+    Trial i consumes draw i of the seed-keyed stream.  The draws come in
+    fixed chunks (`rng.trial_chunks`); `outcome_counts` sorts each chunk in
+    place and counts it against the normalized CDF, computed once per run.
+    Those counts are the bincount of `outcome_index`, the sampler `measure`
+    uses on its one draw, so the table is reproducible byte for byte and a
+    loop of measure() calls over `master_rng(seed)` tallies the same counts.
+    Each chunk is released before the next is drawn, so memory is one chunk
+    whatever `trials` is.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidArgumentError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dist = born_probabilities(obs, state)
-    counts = np.zeros(len(dist.probabilities), dtype=np.int64)
+    cdf = _normalized_cdf(dist.probabilities)
+    counts = np.zeros(len(cdf), dtype=np.int64)
     for u in trial_chunks(seed, trials):
-        counts += np.bincount(outcome_index(dist.probabilities, u), minlength=len(counts))
+        counts += outcome_counts(cdf, u)
+        del u  # otherwise the loop variable holds this chunk while the next is drawn
     return FrequencyTable(
         trials=trials,
         values=dist.values,

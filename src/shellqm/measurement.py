@@ -215,15 +215,31 @@ def constrained_min(
     )
 
 
+def _normalized_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """CDF divided by its total.  On-shell probabilities sum to 1 only within
+    the shell tolerance; divided, the last entry is exactly 1 > u for every
+    draw u in [0, 1), so no draw lands on a zero-probability cluster."""
+    cdf = np.cumsum(probabilities)
+    return cdf / cdf[-1]
+
+
 def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
     """Inverse-CDF cluster index of a uniform draw u in [0, 1), or of an array
-    of draws: the one sampler behind `measure` and `run_trials`.
+    of draws: the one sampler behind `measure`, and the oracle of
+    `outcome_counts`.  A draw equal to a CDF entry c[k] goes to cluster k + 1."""
+    return np.searchsorted(_normalized_cdf(probabilities), u, side="right")
 
-    On-shell probabilities sum to 1 only within the shell tolerance, so the
-    CDF is divided by its total: its last entry is then exactly 1 > u, and no
-    draw lands on a zero-probability cluster."""
-    cdf = np.cumsum(probabilities)
-    return np.searchsorted(cdf / cdf[-1], u, side="right")
+
+def outcome_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-cluster tally of the draws `u` against the normalized CDF `cdf`:
+    exactly the bincount of their `outcome_index`, without per-draw indices.
+
+    Cluster k takes the draws in [c[k-1], c[k]), so the tallies are the first
+    differences of #{u < c[k]}, binary-searched in the draws once sorted.
+    Sorts `u` in place, so the caller's array is reordered and no copy is made.
+    """
+    u.sort()
+    return np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
 
 
 def measure(
@@ -237,9 +253,10 @@ def measure(
     The post state is the shell-normalized projection of the input onto the
     outcome's eigenspace (cluster eigenspace for degenerate outcomes), so an
     immediate repeat measurement returns the same outcome with probability 1.
-    Maps exactly one draw from `rng` through `outcome_index`, as `run_trials`
-    does for each of its draws, so a loop of measure() calls over
-    `master_rng(seed)` tallies exactly what `run_trials(..., seed)` does.
+    Maps exactly one draw from `rng` through `outcome_index`.  `run_trials`
+    tallies its draws with `outcome_counts`, whose counts are that sampler's
+    bincount, so a loop of measure() calls over `master_rng(seed)` tallies
+    exactly what `run_trials(..., seed)` does.
     """
     es = eigh(obs) if system is None else system
     dist = born_probabilities(obs, state, system=es)

@@ -4,9 +4,11 @@ Philox is a keyed counter-mode generator: the stream for a given key is a pure
 function of (key, counter), so draws are bit-identical across platforms and
 independent of execution order.  Trial i of a Monte Carlo run consumes draw i
 of the seed-keyed stream.  `trial_chunks` yields those draws in successive
-vectorized chunks of at most TRIAL_CHUNK, so a run of any length holds one
-chunk at a time; concatenated, the chunks are the exact values of a sequential
-loop over `master_rng(seed).random()`.
+vectorized chunks of at most TRIAL_CHUNK; concatenated, the chunks are the
+exact values of a sequential loop over `master_rng(seed).random()`.
+`run_trials` sorts each chunk in place and counts it against the outcome CDF
+(a tally does not depend on the order of its draws), then lets it go before
+the next is drawn, so a run of any length holds one chunk at a time.
 
 Every emitted artifact records RNG_ID so outputs are reproducible from their
 own header.

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellqm.experiments
 import shellqm.rng
@@ -12,6 +16,7 @@ from shellqm.cli import COMMANDS, MAX_SAMPLES, main
 from shellqm.core import TOL_HERM
 from shellqm.errors import ScenarioParseError, ScenarioValidationError
 from shellqm.experiments import MAX_TRIALS
+from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -619,6 +624,59 @@ class TestDispatch:
         assert main(["probs", "--scenario", scen]) == 0
         out = capsys.readouterr().out
         assert "outcome,probability" in out
+
+
+@st.composite
+def sample_scenarios(draw):
+    """An admissible scenario document (d = 1..8, normalize: true) whose
+    observable is random, has a degenerate spectrum, or is diagonal with a
+    state that leaves an outcome at probability exactly zero."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "degenerate", "zero-outcome"]))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    if kind == "random":
+        m = 0.5 * (g + g.conj().T)
+    elif kind == "degenerate":  # levels from -2..2 in a rotated basis
+        values = np.array(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)), float)
+        q = np.linalg.qr(g)[0]
+        m = q @ np.diag(values) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+    else:  # distinct levels in the standard basis: a masked component has probability 0
+        m = np.diag(np.arange(d, dtype=float))
+        psi = psi * np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any)))
+    return {
+        "dimension": d,
+        "hbar": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        "observable": {"re": m.real.tolist(), "im": m.imag.tolist()},
+        "state": {"re": psi.real.tolist(), "im": psi.imag.tolist()},
+        "normalize": True,
+        "seed": draw(st.integers(0, 2**64)),
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sample_scenarios(), st.integers(1, 10**4), st.sampled_from(["csv", "structured"]))
+def test_sample_contract_on_generated_scenarios(tmp_path_factory, doc, trials, fmt):
+    path = tmp_path_factory.mktemp("sample") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sample", "--scenario", str(path), "--trials", str(trials), "--format", fmt])
+    assert (code, err.getvalue()) == (0, "")
+    if fmt == "structured":
+        table = json.loads(out.getvalue())
+        counts, reference = table["counts"], table["reference"]
+    else:
+        lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+        assert lines[0] == "outcome,count,frequency,reference"
+        rows = [line.split(",") for line in lines[1:]]
+        counts, reference = [int(r[1]) for r in rows], [float(r[3]) for r in rows]
+    assert sum(counts) == trials
+    assert all(c >= 0 for c in counts)
+    assert all(c == 0 for c, r in zip(counts, reference) if r == 0.0)
+    assert abs(sum(reference) - 1.0) <= 1e-12
 
 
 class TestGoldenOutputs:

@@ -138,7 +138,9 @@ class TestRunTrials:
 
     def test_memory_is_one_chunk_whatever_the_trials(self, rng):
         # the caller asks only for counts, so no array grows with `trials`
-        # (2e6 draws and their indices would be 32 MB)
+        # (2e6 draws and their indices would be 32 MB); the bound is one
+        # 512 KiB chunk and a little, which two chunks alive at once, or a
+        # sorted copy of one, would reach
         obs = random_hermitian(16, rng)
         s = random_state(16, rng)
         eigh(obs)  # the memoized solve is not part of the tally
@@ -149,7 +151,7 @@ class TestRunTrials:
         finally:
             tracemalloc.stop()
         assert int(table.counts.sum()) == 2 * 10**6
-        assert peak < 4 * 2**20
+        assert peak < 2**20
 
 
 class TestChiSquare:

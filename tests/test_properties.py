@@ -1,5 +1,6 @@
 """Property-based tests: Born probabilities and the shared sampler over
-random Hermitian matrices and shell states, chi-square pooling against a
+random Hermitian matrices and shell states, the sorted-chunk tally against
+the sampler's bincount, chi-square pooling against a
 sorting loop, a minimizer that only descends, form values that are returned
 at every scale, the CLI's exit-code contract over fuzzed scenario documents
 and fuzzed command lines, and loose tolerance overrides that admit a scenario
@@ -24,7 +25,7 @@ from shellqm.core import TOL_SHELL
 from shellqm.errors import NoConvergenceError
 from shellqm.experiments import POOL_MIN_EXPECTED, _pooled, random_hermitian
 from shellqm.linalg import JACOBI_REL_TOL
-from shellqm.measurement import outcome_index
+from shellqm.measurement import _normalized_cdf, outcome_counts, outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
 
@@ -75,6 +76,39 @@ def test_sampler_never_returns_zero_probability_outcome(case, hbar, offset, u, u
     probs = born_probabilities(obs, make_state(raw * scale, hbar)).probabilities
     assert probs[outcome_index(probs, u)] > 0.0
     assert np.all(probs[outcome_index(probs, np.array(us))] > 0.0)
+
+
+@st.composite
+def probabilities_and_draws(draw):
+    """Probabilities of 1..8 clusters, zero and repeated entries included, and
+    draws on the entries of their normalized CDF, one double either side of
+    them, at 0.0, at the largest double below 1, and anywhere in [0, 1)."""
+    size = draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0 / 3.0]), st.floats(0.0, 1.0))
+    p = np.array(draw(st.lists(entry, min_size=size, max_size=size).filter(lambda ps: sum(ps) > 0)))
+    edges = {float(x) for c in _normalized_cdf(p)
+             for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))}
+    on_edges = st.sampled_from(sorted(x for x in edges if 0.0 <= x < 1.0))
+    return p, np.array(draw(st.lists(st.one_of(on_edges, draws), min_size=1, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probabilities_and_draws())
+def test_tally_is_the_bincount_of_the_sampler(case):
+    p, u = case
+    want = np.bincount(outcome_index(p, u), minlength=len(p))
+    got = outcome_counts(_normalized_cdf(p), u.copy())
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_draws_on_the_cdf_entries_go_to_the_next_cluster():
+    # outcome_index sends u == c[k] to cluster k + 1, so the tally counts
+    # #{u < c[k]}; counting #{u <= c[k]} would read [3, 1, 2]
+    p = np.array([0.25, 0.25, 0.5])
+    u = np.array([0.9, 0.5, 0.0, 0.25, 0.7, 0.1])
+    assert outcome_index(p, u).tolist() == [2, 2, 0, 1, 2, 0]
+    assert outcome_counts(_normalized_cdf(p), u).tolist() == [2, 1, 3]
 
 
 # ------------------------------------------------------ chi-square pooling
