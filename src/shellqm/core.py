@@ -25,10 +25,22 @@ from .errors import (
     ZeroVectorError,
 )
 
-# Double-precision thresholds, chosen with headroom above machine epsilon.
-TOL_SHELL = 1e-10   # relative, shell norm residual
-TOL_HERM = 1e-12    # absolute, Hermiticity of O(1) entries
-TOL_ZERO = 1e-12    # relative, "numerically zero" component modulus
+# Every threshold of the package, each relative to what its comment names.
+TOL_SHELL = 1e-10        # shell norm residual, relative to hbar
+TOL_HERM = 1e-12         # Hermiticity residual of O(1) entries, relative to nothing
+TOL_ZERO = 1e-12         # "numerically zero" component modulus, relative to the norm
+TOL_SAME_STATE = 1e-9    # overlap deficit of one physical state, relative to hbar
+JACOBI_REL_TOL = 1e-12   # Jacobi's off-diagonal Frobenius norm, relative to ||A||_F
+TOL_RESOLUTION = 100.0 * JACOBI_REL_TOL  # eigenvalues, relative to the spectral radius (at least 1)
+TOL_CLUSTER = 1e-8       # eigenvalue gap of one outcome, relative to the pair (at least 1)
+TOL_GRAM = 1e-10         # admissible basis's max |Gram - I|, relative to nothing
+TOL_START = 1e-8         # minimizer start norm below which it is skipped, relative to nothing
+RK4_SHELL_TOL = 1e-6     # RK4 shell residual (RK4 drifts off the shell), relative to hbar
+TOL_REST = 1e-6          # |f(0)| of a black-box phase-space function, relative to nothing
+TOL_MEAN_GUARD = 1e-12   # mean check's rounding guard, relative to the level (at least 1)
+TOL_CF = 1e-6            # Courant-Fischer deviation, relative to the level (at least 1)
+TOL_NORM_DRIFT = 1e-9    # shell-norm drift of the exact flow, relative to hbar
+POOL_MIN_EXPECTED = 5.0  # expected count below which chi-square pools, relative to nothing
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -134,9 +146,9 @@ def _hermitian_residual(matrix) -> float:
         return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
-def check_hermitian(matrix, tol: float = TOL_HERM) -> bool:
-    """True iff max |M_nm - conj(M_mn)| <= tol; the package's one Hermiticity test."""
-    return _hermitian_residual(matrix) <= tol
+def check_hermitian(matrix) -> bool:
+    """True iff max |M_nm - conj(M_mn)| <= TOL_HERM; the package's one Hermiticity test."""
+    return _hermitian_residual(matrix) <= TOL_HERM
 
 
 def hermitian_part(matrix, tol: float = TOL_HERM) -> np.ndarray:
@@ -276,7 +288,7 @@ def canonical_phase(state: StateVector) -> StateVector:
     return StateVector(_readonly(fixed), state.hbar)
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
+def states_equal(a: StateVector, b: StateVector, tol: float = TOL_SAME_STATE) -> bool:
     """True iff a and b are the same physical state: |<a|b>| >= hbar*(1 - tol)."""
     require_dim(b.dimension, a.dimension, "state")
     if a.hbar != b.hbar:

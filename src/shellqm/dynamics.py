@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RK4_SHELL_TOL,
     GeneralQuadraticObservable,
     HermitianObservable,
     StateVector,
@@ -23,7 +24,6 @@ from .errors import DimensionMismatchError, InvalidArgumentError, StepCountError
 from .linalg import unitary_propagator
 
 MAX_STEPS = 10**8  # bounds time only (45, 56 and 300 s at d = 2, 8 and 64, from 1e6 and 1e5 steps)
-RK4_SHELL_TOL = 1e-6  # RK4 does not conserve the norm exactly; drift is measured
 RK4_BLOCK = 32  # steps per batched product, a power of two; its powers hold RK4_BLOCK * d^2 numbers
 
 

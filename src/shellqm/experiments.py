@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HermitianObservable, StateVector, make_state, require_positive_int
+from .core import (POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT, HermitianObservable,
+                   StateVector, make_state, require_positive_int)
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
@@ -21,7 +22,6 @@ from .measurement import (AdmissibleSubspace, _normalized_cdf, born_probabilitie
 from .phasespace import evaluate_observable
 from .rng import RNG_ID, master_rng, trial_chunks
 
-POOL_MIN_EXPECTED = 5.0  # standard Pearson-test pooling threshold
 MAX_TRIALS = 10**8  # bounds time only (1 to 2 s at d = 2 to 64); run_trials holds one chunk of draws
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
@@ -183,7 +183,7 @@ def verify_mean_value(
     """Empirical mean of sampled outcomes against the observable's value
     divided by hbar; passes within four standard errors.
 
-    A rounding guard of 1e-12 * max(1, |expected|) keeps the zero-variance
+    A rounding guard of TOL_MEAN_GUARD * max(1, |expected|) keeps the zero-variance
     case (single-outcome distribution) from failing on accumulation error.
     """
     return _mean_report(obs, state, run_trials(obs, state, trials, seed))
@@ -201,7 +201,7 @@ def _mean_report(
     centered = table.values - empirical
     var = float(np.dot(centered**2, table.counts)) / (trials - 1)
     sd = float(np.sqrt(max(var, 0.0)))
-    threshold = 4.0 * sd / float(np.sqrt(trials)) + 1e-12 * max(1.0, abs(expected))
+    threshold = 4.0 * sd / float(np.sqrt(trials)) + TOL_MEAN_GUARD * max(1.0, abs(expected))
     diff = abs(empirical - expected)
     return VerificationReport(
         name="mean-proportionality",
@@ -241,8 +241,8 @@ def courant_fischer_report(obs: HermitianObservable, seed: int) -> VerificationR
     return VerificationReport(
         name="courant-fischer",
         statistic=worst,
-        threshold=1e-6,
-        passed=(not failed) and worst <= 1e-6,
+        threshold=TOL_CF,
+        passed=(not failed) and worst <= TOL_CF,
         digest={"dimension": obs.dimension, "seed": seed},
     )
 
@@ -275,11 +275,12 @@ def norm_conservation_report(
     for t in times:
         evolved = flow(obs, state, float(t))
         worst = max(worst, abs(evolved.norm_squared() - state.hbar))
+    threshold = TOL_NORM_DRIFT * state.hbar
     return VerificationReport(
         name="norm-conservation",
         statistic=worst,
-        threshold=1e-9 * state.hbar,
-        passed=worst <= 1e-9 * state.hbar,
+        threshold=threshold,
+        passed=worst <= threshold,
         digest={"dimension": obs.dimension, "seed": seed},
     )
 

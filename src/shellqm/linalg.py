@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianObservable, phase_fix, require_dim
+from .core import (JACOBI_REL_TOL, TOL_CLUSTER, TOL_RESOLUTION, HermitianObservable, phase_fix,
+                   require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
-# Convergence and clustering controls for the Jacobi sweep.
-JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius norm relative to ||A||_F
-JACOBI_SWEEPS = 50
-TOL_CLUSTER = 1e-8       # eigenvalue gap, relative to the pair (at least 1), treated as degenerate
+JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +31,8 @@ class EigenSystem:
 
     eigenvalues are ascending; column k of `eigenvectors` is the unit-norm
     eigenvector of eigenvalues[k], phase-fixed so its first above-threshold
-    component is real positive.  Eigenvalues equal within TOL_CLUSTER or the
-    solver's resolution (see _cluster_labels) form one degeneracy cluster, one measurement
+    component is real positive.  Eigenvalues equal within TOL_CLUSTER or
+    TOL_RESOLUTION (see _cluster_labels) form one degeneracy cluster, one measurement
     outcome: `cluster[n]` is the outcome index of eigenvalue n (0 first, never
     decreasing) and `cluster_values[k]` the member mean of outcome k.  All
     four arrays are read-only.
@@ -124,10 +122,10 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 
 def _cluster_labels(values: np.ndarray) -> np.ndarray:
-    """Outcome index of each ascending eigenvalue: a new cluster starts at a gap above
-    TOL_CLUSTER relative and above the Jacobi resolution, 100 * JACOBI_REL_TOL * radius."""
+    """Outcome index of each ascending eigenvalue: a cluster starts at a gap above both
+    TOL_CLUSTER times the pair and TOL_RESOLUTION times the spectral radius (each at least 1)."""
     a = np.maximum(1.0, np.abs(values))
-    tol = np.maximum(TOL_CLUSTER * np.maximum(a[:-1], a[1:]), 100.0 * JACOBI_REL_TOL * a.max())
+    tol = np.maximum(TOL_CLUSTER * np.maximum(a[:-1], a[1:]), TOL_RESOLUTION * a.max())
     return np.concatenate(([0], np.cumsum(~(np.diff(values) <= tol))))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TOL_ZERO, HermitianObservable, StateVector, make_state, project_to_shell,
-                   require_dim, require_positive, require_positive_int)
+from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, make_state,
+                   project_to_shell, require_dim, require_positive, require_positive_int)
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
@@ -54,7 +54,7 @@ class AdmissibleSubspace:
             )
         if basis.shape[1]:
             gram = basis.conj().T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
+            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > TOL_GRAM:
                 raise ValueError("orthogonality basis is not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -181,7 +181,7 @@ def constrained_min(
     for restart in range(PG_RESTARTS):
         x = qh @ (rng.normal(size=d) + 1j * rng.normal(size=d))
         norm = float(np.linalg.norm(x))
-        if norm < 1e-8:
+        if norm < TOL_START:
             continue
         x = x * (1.0 / norm)
         bx = b @ x

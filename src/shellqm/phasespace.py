@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    TOL_REST,
     GeneralQuadraticObservable,
     HermitianObservable,
     OscillatorParams,
@@ -122,13 +123,13 @@ def hermitian_from_function(
     Polarization gives Re A_nm = (form(e_n + e_m) - form(e_n - e_m)) / 4 and
     Im A_nm = (form(e_n - i e_m) - form(e_n + i e_m)) / 4; the lower triangle
     mirrors the upper, so the result is exactly Hermitian.  8 d^2 - 4 d + 1
-    calls of f.  f must vanish at rest: |f(0)| <= 1e-6.
+    calls of f.  f must vanish at rest: |f(0)| <= TOL_REST.
     """
     require_positive_int(d, "dimension")
     require_positive(step, "step")
     f0 = float(f(np.zeros(d, dtype=complex)))
-    if abs(f0) > 1e-6:
-        raise NotVanishingAtRestError(f"|f(0)| = {abs(f0):.3e} exceeds 1e-6")
+    if abs(f0) > TOL_REST:
+        raise NotVanishingAtRestError(f"|f(0)| = {abs(f0):.3e} exceeds {TOL_REST:g}")
 
     h = step
     eye = np.eye(d, dtype=complex)

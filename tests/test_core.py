@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shellqm
+import shellqm.core
 from shellqm import (
     GeneralQuadraticObservable,
     HermitianObservable,
@@ -316,3 +321,37 @@ class TestGeneralQuadraticObservable:
     def test_accepts_finite_parts(self):
         gen = GeneralQuadraticObservable(**self.parts(anomalous=np.array([[0, 1j], [1j, 0]])))
         assert gen.dimension == 2
+
+
+class TestThresholdTable:
+    """Every threshold is assigned once, in core's table."""
+
+    TABLE = ("TOL_SHELL", "TOL_HERM", "TOL_ZERO", "TOL_SAME_STATE", "JACOBI_REL_TOL",
+             "TOL_RESOLUTION", "TOL_CLUSTER", "TOL_GRAM", "TOL_START", "RK4_SHELL_TOL",
+             "TOL_REST", "TOL_MEAN_GUARD", "TOL_CF", "TOL_NORM_DRIFT", "POOL_MIN_EXPECTED")
+
+    @staticmethod
+    def modules():
+        return {path.name: ast.parse(path.read_text())
+                for path in sorted(Path(shellqm.__file__).parent.glob("*.py"))}
+
+    def test_no_small_float_literal_outside_core(self):
+        # 1e-5 leaves out step sizes such as hermitian_from_function's step=1e-3
+        found = [(name, node.lineno, node.value)
+                 for name, tree in self.modules().items() if name != "core.py"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and type(node.value) is float
+                 and 0.0 < node.value <= 1e-5]
+        assert found == []
+
+    def test_each_threshold_is_assigned_only_in_core(self):
+        assigned = {}
+        for name, tree in self.modules().items():
+            for stmt in tree.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in self.TABLE:
+                        assigned.setdefault(target.id, []).append(name)
+        assert assigned == {threshold: ["core.py"] for threshold in self.TABLE}
+        assert all(isinstance(getattr(shellqm.core, t), float) for t in self.TABLE)

@@ -16,7 +16,7 @@ from shellqm import (
     states_equal,
 )
 from shellqm import dynamics, linalg
-from shellqm.dynamics import RK4_SHELL_TOL
+from shellqm.core import RK4_SHELL_TOL
 from shellqm.errors import InvalidArgumentError, OffShellError, StepCountError
 
 from conftest import SIGMA_X, random_hermitian, random_state

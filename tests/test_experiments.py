@@ -20,6 +20,7 @@ from shellqm import (
     verification_suite,
     verify_mean_value,
 )
+from shellqm.core import TOL_CF, TOL_NORM_DRIFT
 from shellqm.errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from shellqm.experiments import (
     CHI2_999,
@@ -303,7 +304,7 @@ class TestVerifyMeanValue:
 class TestVerificationSuite:
     def test_one_table_shared_by_both_statistical_checks(self, rng, monkeypatch):
         obs = random_hermitian(3, rng)
-        state = random_state(3, rng)
+        state = random_state(3, rng, hbar=2.5)
         tables = []
 
         def counting(*args):
@@ -315,6 +316,24 @@ class TestVerificationSuite:
         assert len(tables) == 1
         assert reports[0] == verify_mean_value(obs, state, trials=5000, seed=11)
         assert reports[1] == chi_square(tables[0])
+        # each report prints the threshold it tested (Courant-Fischer also fails on
+        # NoConvergenceError: test_exhausted_budget_fails_with_the_best_value)
+        assert [r.passed for r in reports] == [r.statistic <= r.threshold for r in reports]
+        assert [r.name for r in reports[2:]] == ["courant-fischer", "norm-conservation"]
+        assert reports[2].threshold == TOL_CF
+        assert reports[3].threshold == TOL_NORM_DRIFT * state.hbar
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5 must scale the mean guard and the "
+                       "Courant-Fischer deviation by TOL_RESOLUTION")
+    def test_eigenstate_of_a_wide_spectrum_passes(self):
+        # the eigenvalue-0 eigenstate of a +-1e11 spectrum: the mean check reads
+        # 6.2e-7 against its 1e-12 guard, Courant-Fischer 2.7e-6 against TOL_CF
+        rng = np.random.default_rng(1)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        m = u @ np.diag([-1e11, 0.0, 1e11]) @ u.conj().T
+        obs = HermitianObservable(0.5 * (m + m.conj().T))
+        reports = verification_suite(obs, make_state(u[:, 1], 1.0), trials=10**4, seed=7)
+        assert all(r.passed for r in reports)
 
     def test_too_few_trials_is_an_argument_error(self):
         obs, state = equal_weight_scenario()

@@ -21,10 +21,9 @@ import shellqm.measurement
 from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities, constrained_min,
                      evaluate_observable, make_state, mean_value, project_to_shell)
 from shellqm.cli import COMMANDS, main
-from shellqm.core import TOL_SHELL
+from shellqm.core import JACOBI_REL_TOL, POOL_MIN_EXPECTED, TOL_SHELL
 from shellqm.errors import NoConvergenceError
-from shellqm.experiments import POOL_MIN_EXPECTED, _pooled, random_hermitian
-from shellqm.linalg import JACOBI_REL_TOL
+from shellqm.experiments import _pooled, random_hermitian
 from shellqm.measurement import _normalized_cdf, outcome_counts, outcome_index
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
