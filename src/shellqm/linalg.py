@@ -5,9 +5,12 @@ applied directly to the complex Hermitian matrix.  Jacobi is unconditionally
 stable for Hermitian input and highly accurate at the small dimensions this
 package targets (d up to a few dozen), with no dependency on an external
 eigensolver.  A sweep is rounds in round-robin order (d - 1 of them, or d
-for odd d), and each round's disjoint rotations are applied as one
-vectorised update, to the columns of the matrix and of the accumulated
-rotations at once.  It takes only a `HermitianObservable`, whose type
+for odd d), built per solve in closed form as two (rounds, pairs) index
+arrays, and each round's disjoint rotations are applied as one vectorised
+update, to the columns of the matrix and of the accumulated rotations at
+once.  A round's few real rotation angles are computed on Python floats,
+which round exactly as numpy does and cost less than numpy calls on
+arrays of d / 2 entries.  It takes only a `HermitianObservable`, whose type
 guarantees a square, exactly Hermitian matrix with a finite norm.
 """
 
@@ -53,71 +56,96 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """One sweep's rounds for dimension d >= 2: index arrays (P, Q) with P < Q
-    elementwise, the pairs of a round disjoint, and every pair p < q in
-    exactly one round.
+def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep for dimension d >= 2 as two (rounds, pairs) index arrays P, Q:
+    P < Q elementwise, the pairs of a row (one round) disjoint, and every
+    pair p < q in exactly one row.
 
     The circle method (Brent & Luk's round-robin ordering): index 0 stays put
-    and the others turn one place per round.  Odd d pairs one index per round
-    with a padded dummy index d, and those pairs are dropped.
+    and the others turn one place per round, so in round r position j >= 1
+    holds 1 + (j - 1 - r) mod (n - 1), n = d rounded up to even, and position
+    j is paired with position n - 1 - j.  Odd d pads a dummy index d, which
+    is in exactly one pair of every round; dropping those pairs keeps the
+    arrays rectangular.
     """
     n = d + d % 2
-    ring = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        pairs = [(min(x, y), max(x, y)) for x, y in zip(ring[: n // 2], reversed(ring[n // 2:]))
-                 if max(x, y) < d]
-        rounds.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return tuple(rounds)
+    ring = 1 + (np.arange(n) - 1 - np.arange(n - 1)[:, None]) % (n - 1)
+    ring[:, 0] = 0
+    x, y = ring[:, : n // 2], ring[:, n // 2:][:, ::-1]
+    p, q = np.minimum(x, y), np.maximum(x, y)
+    real = q < d
+    return p[real].reshape(n - 1, -1), q[real].reshape(n - 1, -1)
 
 
-def _jacobi_rotate_round(av: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray,
-                         qp: np.ndarray, skip: float) -> None:
+def _round_indices(d: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index arrays of rounds p, q (along the last axis) of a d x d matrix
+    held as the top of a (2d, d) buffer: pq = (p, q), qp = (q, p), the flat
+    indices `at` of a[p, q], a[p, p] and a[q, q], and the flat indices
+    `zeroed`, in the buffer viewed as floats, of the entries a rotation sets
+    to zero: both parts of a[p, q] and a[q, p], and the imaginary parts of
+    a[p, p] and a[q, q]."""
+    pq, qp = np.concatenate((p, q), axis=-1), np.concatenate((q, p), axis=-1)
+    off = 2 * (d * pq + qp)
+    at = np.concatenate((d * p + q, (d + 1) * pq), axis=-1)
+    zeroed = np.concatenate((off, off + 1, 2 * (d + 1) * pq + 1), axis=-1)
+    return pq, qp, at, zeroed
+
+
+def _jacobi_rotate_round(av: np.ndarray, pq: np.ndarray, qp: np.ndarray, at: np.ndarray,
+                         zeroed: np.ndarray, skip: float) -> None:
     """Annihilate a[p[k], q[k]] (and a[q[k], p[k]]) for every pair of one
     round with complex plane rotations.
 
     `av` stacks the matrix A over the accumulated rotations V, (2d, d), and
-    pq, qp are the concatenations (p, q) and (q, p).  For the 2x2 Hermitian
-    block [[app, b], [conj(b), aqq]] with b = |b| w, the unitary
-    [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry when tan(2*phi)
-    solves the standard symmetric-Jacobi equation with |b| in place of the
-    real coupling.  The pairs are disjoint, so their rotations commute: the
-    P/Q columns of A and V are rotated together, then A's P/Q rows.  Pairs
-    whose entry is at most `skip` are dropped before any division.
+    the index arrays are the round's from `_round_indices`.  For the 2x2
+    Hermitian block [[app, b], [conj(b), aqq]] with b = |b| w, the unitary
+    [[c, -s w], [s conj(w), c]] zeroes the off-diagonal entry when
+    tan(2*phi) solves the standard symmetric-Jacobi equation with |b| in
+    place of the real coupling.  That real chain runs on Python floats,
+    whose + - * / and sqrt round exactly as numpy's do.  The pairs are
+    disjoint, so their rotations commute: the P/Q columns of A and V are
+    rotated together, then A's P/Q rows.  Pairs whose entry is at most
+    `skip` are dropped before any division.
     """
-    a = av[: av.shape[1]]
-    b = a[p, q]
+    k = pq.shape[0] // 2
+    gathered = av.reshape(-1)[at]
+    b = gathered[:k]
     absb = np.abs(b)
-    keep = absb > skip
-    if not keep.all():
-        if not keep.any():
-            return
-        p, q, b, absb = p[keep], q[keep], b[keep], absb[keep]
-        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+    moduli = absb.tolist()
+    if min(moduli) <= skip:
+        keep = absb > skip
+        if keep.any():
+            _jacobi_rotate_round(av, *_round_indices(av.shape[1], pq[:k][keep], pq[k:][keep]),
+                                 skip)
+        return
+    diagonal = gathered.real[k:].tolist()
+    cs, ss = [], []
+    for modulus, app, aqq in zip(moduli, diagonal[:k], diagonal[k:]):
+        theta = (aqq - app) / (2.0 * modulus)
+        # -sign(theta), and t = 1 at theta == 0
+        t = (-1.0 if theta > 0.0 else 1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        cs.append(c)
+        ss.append(t * c)
     w = b / absb
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-    # -sign(theta), and t = 1 at theta == 0
-    t = np.where(theta > 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
+    s = np.array(ss)
     sw = s * w
     swc = s * np.conj(w)
 
     # Entry k of pq is rotated with entry k of qp: new_p = c p + swc q on
     # columns, and new_q = c q - sw p; the rows take the conjugate mix.
-    cc = np.concatenate((c, c))
+    cc = np.array(cs + cs)
     col_mix = np.concatenate((swc, -sw))
     row_mix = np.concatenate((sw, -swc))[:, None]
+    a = av[: av.shape[1]]
     av[:, pq] = cc * av[:, pq] + col_mix * av[:, qp]
     a[pq, :] = cc[:, None] * a[pq, :] + row_mix * a[qp, :]
-    a[pq, qp] = 0.0
-    a.imag[pq, pq] = 0.0
+    av.view(float).reshape(-1)[zeroed] = 0.0
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    off = a.copy()
+    off.flat[:: a.shape[0] + 1] = 0
     return float(np.linalg.norm(off))
 
 
@@ -167,13 +195,12 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
         # Entries all below target/d cannot push the off-diagonal norm above
         # the target, so they are not worth a rotation.
         skip = target / d
-        rounds = [(p, q, np.concatenate((p, q)), np.concatenate((q, p)))
-                  for p, q in _round_robin(d)]
+        rounds = list(zip(*_round_indices(d, *_round_robin(d))))
         for _ in range(JACOBI_SWEEPS):
             if _offdiag_norm(a) <= target:
                 break
-            for p, q, pq, qp in rounds:
-                _jacobi_rotate_round(av, p, q, pq, qp, skip)
+            for indices in rounds:
+                _jacobi_rotate_round(av, *indices, skip)
         else:
             raise NoConvergenceError(
                 f"Jacobi sweep budget ({JACOBI_SWEEPS}) exhausted; "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shellqm
 import shellqm.experiments
 import shellqm.rng
 import shellqm.scenario
@@ -627,7 +628,7 @@ class TestDispatch:
 
 
 @st.composite
-def sample_scenarios(draw):
+def admissible_scenarios(draw):
     """An admissible scenario document (d = 1..8, normalize: true) whose
     observable is random, has a degenerate spectrum, or is diagonal with a
     state that leaves an outcome at probability exactly zero."""
@@ -656,27 +657,74 @@ def sample_scenarios(draw):
     }
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """`main(argv)` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_rows(text: str, header: str) -> list[list[str]]:
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
+    return [line.split(",") for line in lines[1:]]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(sample_scenarios(), st.integers(1, 10**4), st.sampled_from(["csv", "structured"]))
+@given(admissible_scenarios(), st.integers(1, 10**4), st.sampled_from(["csv", "structured"]))
 def test_sample_contract_on_generated_scenarios(tmp_path_factory, doc, trials, fmt):
     path = tmp_path_factory.mktemp("sample") / "scenario.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["sample", "--scenario", str(path), "--trials", str(trials), "--format", fmt])
-    assert (code, err.getvalue()) == (0, "")
+    code, out, err = run_main(["sample", "--scenario", str(path), "--trials", str(trials),
+                               "--format", fmt])
+    assert (code, err) == (0, "")
     if fmt == "structured":
-        table = json.loads(out.getvalue())
+        table = json.loads(out)
         counts, reference = table["counts"], table["reference"]
     else:
-        lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
-        assert lines[0] == "outcome,count,frequency,reference"
-        rows = [line.split(",") for line in lines[1:]]
+        rows = csv_rows(out, "outcome,count,frequency,reference")
         counts, reference = [int(r[1]) for r in rows], [float(r[3]) for r in rows]
     assert sum(counts) == trials
     assert all(c >= 0 for c in counts)
     assert all(c == 0 for c, r in zip(counts, reference) if r == 0.0)
     assert abs(sum(reference) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(admissible_scenarios(), st.sampled_from(["spectrum", "probs"]),
+       st.sampled_from(["csv", "structured"]))
+def test_spectrum_and_probs_contract_on_generated_scenarios(tmp_path_factory, doc, command,
+                                                            fmt):
+    path = tmp_path_factory.mktemp(command) / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main([command, "--scenario", str(path), "--format", fmt])
+    assert (code, err) == (0, "")
+    matrix = np.array(doc["observable"]["re"]) + 1j * np.array(doc["observable"]["im"])
+    es = shellqm.eigh(shellqm.HermitianObservable(matrix))
+    if command == "spectrum":
+        if fmt == "structured":
+            table = json.loads(out)
+            values = table["eigenvalues"]
+            cluster = [k for k, members in enumerate(table["clusters"]) for _ in members]
+        else:
+            rows = csv_rows(out, "level,eigenvalue,cluster")
+            values, cluster = [float(r[1]) for r in rows], [int(r[2]) for r in rows]
+        ref = np.linalg.eigvalsh(matrix)
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(matrix, 2)))
+        assert np.max(np.abs(np.array(values) - ref)) <= tol
+        assert cluster == es.cluster.tolist()
+    else:
+        if fmt == "structured":
+            table = json.loads(out)
+            values, probabilities = table["values"], table["probabilities"]
+        else:
+            rows = csv_rows(out, "outcome,probability")
+            values, probabilities = [float(r[0]) for r in rows], [float(r[1]) for r in rows]
+        # one outcome per cluster of the solver: no degenerate level split in two
+        assert values == es.cluster_values.tolist()
+        assert all(p >= 0.0 for p in probabilities)
+        assert abs(sum(probabilities) - 1.0) <= 1e-12
 
 
 class TestGoldenOutputs:

@@ -19,7 +19,7 @@ from shellqm import (
     unitary_propagator,
 )
 from shellqm.core import JACOBI_REL_TOL, TOL_CLUSTER, phase_fix
-from shellqm.linalg import _round_robin
+from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _round_robin
 from shellqm.rng import master_rng
 from shellqm.errors import NoConvergenceError, NotSquareError
 
@@ -70,6 +70,86 @@ def rotate_round_apart(a, v, p, q, skip):
     a[pq, qp] = 0.0
     a[pq, pq] = a[pq, pq].real
     v[:, pq] = cc * v[:, pq] + col_mix * v[:, qp]
+
+
+def round_robin_lists(d: int) -> list[list[tuple[int, int]]]:
+    """The circle method one round at a time in Python lists, each round's
+    pairs (p, q), p < q, in order: the oracle for `_round_robin`."""
+    n = d + d % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = zip(ring[: n // 2], reversed(ring[n // 2:]))
+        rounds.append([(min(x, y), max(x, y)) for x, y in pairs if max(x, y) < d])
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return rounds
+
+
+def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole solve over the list-built schedule, with each round's A and
+    V updates made apart by `rotate_round_apart` and the off-diagonal norm of
+    A - diag(A): the oracle for `_jacobi_eigh`'s eigenvalues and eigenvectors,
+    bit for bit."""
+    d = matrix.shape[0]
+    a, v = np.array(matrix, dtype=complex), np.eye(d, dtype=complex)
+    fro = float(np.linalg.norm(a))
+    if d > 1 and fro > 0.0:
+        target = JACOBI_REL_TOL * fro
+        rounds = [tuple(np.array(side, dtype=np.intp) for side in zip(*pairs))
+                  for pairs in round_robin_lists(d)]
+        for _ in range(JACOBI_SWEEPS):
+            if np.linalg.norm(a - np.diag(np.diag(a))) <= target:
+                break
+            for p, q in rounds:
+                rotate_round_apart(a, v, p, q, target / d)
+    values = np.diag(a).real.copy()
+    order = np.argsort(values, kind="stable")
+    values, vectors = values[order], v[:, order]
+    cluster = _cluster_labels(values)
+    vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
+    return values, np.column_stack([phase_fix(vectors[:, k]) for k in range(d)])
+
+
+def assert_same_bits(matrix: np.ndarray) -> None:
+    """`_jacobi_eigh` and `jacobi_eigh_apart` agree bit for bit, signed zeros
+    included."""
+    es = shellqm.linalg._jacobi_eigh(matrix)
+    for got, want in zip((es.eigenvalues, es.eigenvectors), jacobi_eigh_apart(matrix)):
+        assert np.array_equal(np.ascontiguousarray(got).view(float),
+                              np.ascontiguousarray(want).view(float))
+
+
+@st.composite
+def hermitian_edge_matrices(draw):
+    """An exactly Hermitian matrix, d = 2..12: random, real-only, or with a
+    repeated eigenvalue; with exact zeros and -0.0 parts; scaled by 1, 1e-300,
+    1e-150 or 1e150.  The lower triangle is the conjugate of the upper one
+    entry for entry, so signed zeros survive."""
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["random", "real", "repeated"]))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "real":
+        g = g.real.astype(complex)
+    elif kind == "repeated":
+        levels = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=d,
+                                        max_size=d)))
+        u = np.linalg.qr(g)[0]
+        g = (u * levels) @ u.conj().T
+    upper = np.triu_indices(d, 1)
+    entries = g[upper]
+    zeros = rng.random(entries.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    signs = rng.choice([-1.0, 1.0], size=(2, entries.shape[0]))
+    entries.real[zeros] = np.copysign(0.0, signs[0])[zeros]
+    entries.imag[zeros] = np.copysign(0.0, signs[1])[zeros]
+    diagonal = g.diagonal().real.copy()
+    diagonal[rng.random(d) < 0.3] = -0.0
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e-150, 1e150]))
+    matrix = np.zeros((d, d), dtype=complex)
+    matrix[upper] = scale * entries
+    matrix.T[upper] = np.conj(scale * entries)
+    matrix[np.diag_indices(d)] = scale * diagonal
+    return HermitianObservable(matrix).matrix
 
 
 def three_levels(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,17 +416,22 @@ class TestRoundRobin:
 
     @pytest.mark.parametrize("d", range(2, 66))
     def test_schedule_covers_each_pair_once_in_disjoint_rounds(self, d):
-        rounds = _round_robin(d)
-        assert len(rounds) == d + d % 2 - 1
+        big_p, big_q = _round_robin(d)
+        assert big_p.shape == big_q.shape == (d + d % 2 - 1, d // 2)
         seen = []
-        for p, q in rounds:
+        for p, q in zip(big_p, big_q):
             assert np.all(p < q)
             assert len(set(p.tolist()) | set(q.tolist())) == 2 * p.shape[0]
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(i, j) for i in range(d) for j in range(i + 1, d)]
         again = _round_robin(d)
-        assert [(p.tolist(), q.tolist()) for p, q in again] == \
-            [(p.tolist(), q.tolist()) for p, q in rounds]
+        assert np.array_equal(again[0], big_p) and np.array_equal(again[1], big_q)
+
+    @pytest.mark.parametrize("d", range(2, 66))
+    def test_schedule_is_the_circle_method_in_order(self, d):
+        big_p, big_q = _round_robin(d)
+        got = [list(zip(p.tolist(), q.tolist())) for p, q in zip(big_p, big_q)]
+        assert got == round_robin_lists(d)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 9, 16, 33, 64])
     def test_random_matrices_against_lapack(self, d, rng):
@@ -380,8 +465,8 @@ class TestRoundRobin:
         # Two 8x8 blocks: the first round pairs every index of one block with
         # one of the other, so in every sweep it has nothing to rotate, and the
         # exact zeros between the blocks stay exact.
-        p, q = _round_robin(16)[0]
-        assert np.all(p < 8) and np.all(q >= 8)
+        big_p, big_q = _round_robin(16)
+        assert np.all(big_p[0] < 8) and np.all(big_q[0] >= 8)
         obs = HermitianObservable(block_diagonal(rng))
         es = eigh(obs)
         assert_decomposes(obs, es)
@@ -392,7 +477,7 @@ class TestRoundRobin:
 
     @pytest.mark.parametrize("case", [*(f"random-{d}" for d in (*range(2, 10), 16, 33, 64)),
                                       "block-diagonal", "three-levels"])
-    def test_fused_round_is_bit_exact(self, case, rng, monkeypatch):
+    def test_fused_round_is_bit_exact(self, case, rng):
         # signed zeros count: compare the bits
         if case == "block-diagonal":
             matrix = block_diagonal(rng)
@@ -400,15 +485,12 @@ class TestRoundRobin:
             matrix = three_levels(33)[0]
         else:
             matrix = random_hermitian(int(case.split("-")[1]), rng).matrix
-        fused = shellqm.linalg._jacobi_eigh(matrix)
-        d = matrix.shape[0]
-        monkeypatch.setattr(shellqm.linalg, "_jacobi_rotate_round",
-                            lambda av, p, q, pq, qp, skip:
-                            rotate_round_apart(av[:d], av[d:], p, q, skip))
-        apart = shellqm.linalg._jacobi_eigh(matrix)
-        for name in ("eigenvalues", "eigenvectors"):
-            got, want = (np.ascontiguousarray(getattr(es, name)) for es in (fused, apart))
-            assert np.array_equal(got.view(float), want.view(float))
+        assert_same_bits(matrix)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(hermitian_edge_matrices())
+    def test_solve_is_bit_exact_on_edge_matrices(self, matrix):
+        assert_same_bits(matrix)
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     @pytest.mark.filterwarnings("error")
