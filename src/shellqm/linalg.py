@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (JACOBI_REL_TOL, TOL_CLUSTER, TOL_RESOLUTION, HermitianObservable, phase_fix,
-                   require_dim)
+from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, TOL_RESOLUTION,
+                   HermitianObservable, phase_fix, require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
 JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
@@ -189,6 +189,15 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
     av = np.concatenate((matrix, np.eye(d, dtype=complex)))  # A over V: one column update
     a, v = av[:d], av[d:]
     fro = float(np.linalg.norm(a))
+    # The norms square the entries, which underflow for a tiny A: solve
+    # 2^shift A, its largest part in [0.5, 1), and scale the eigenvalues back.
+    # Multiplying by a power of two is exact.
+    shift = 0
+    if fro < JACOBI_TINY_NORM:
+        parts = a.view(float)
+        shift = -int(np.frexp(np.max(np.abs(parts)))[1])  # 0 for the zero matrix
+        np.ldexp(parts, shift, out=parts)
+        fro = float(np.linalg.norm(a))
 
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
@@ -207,7 +216,7 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
                 f"off-diagonal norm {_offdiag_norm(a):.3e} vs target {target:.3e}"
             )
 
-    values = np.diag(a).real.copy()
+    values = np.ldexp(np.diag(a).real, -shift)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = v[:, order]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, make_state,
                    project_to_shell, require_dim, require_positive, require_positive_int)
@@ -137,6 +138,32 @@ def mean_value(obs: HermitianObservable, state: StateVector) -> float:
     return float(np.dot(dist.values, dist.probabilities))
 
 
+def _raise_qr_error(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _raise_eigh_error(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
+    LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
+    factor.  Overwrites m, so m must be a fresh array."""
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(m, signature="D->D")
+        return _umath_linalg.qr_reduced(m, tau, signature="DD->D")
+
+
+def _lowest_eigenvector(h: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigh(h)[1][:, 0]` of a complex Hermitian h, bit for bit, from
+    the LAPACK gufunc behind it."""
+    with np.errstate(call=_raise_eigh_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.eigh_lo(h, signature="D->dD")[1][:, 0]
+
+
 def constrained_min(
     obs: HermitianObservable,
     sub: AdmissibleSubspace,
@@ -158,7 +185,10 @@ def constrained_min(
     value and its vector.  Nothing scales that rule: the descent ends only
     where rounding ends it.  The 3x3 problem is solved by numpy, so the
     minimizer does not depend on the eigensolver it checks, and hbar only
-    scales the result.
+    scales the result.  The block's QR and the 3x3 eigh call numpy's LAPACK
+    gufuncs directly, the ones `np.linalg.qr` and `np.linalg.eigh` call,
+    inside the same errstate: the same bits, warnings and errors, without
+    the wrappers' Python overhead, which is most of a step at these sizes.
     Starts are drawn from the seed-keyed stream; a start still falling after
     PG_MAX_ITER steps is restarted, and after the restart budget
     NoConvergenceError reports the best form value found.
@@ -192,8 +222,8 @@ def constrained_min(
             # Householder QR keeps the basis orthonormal even when p lies in
             # span{x, r}: the spare column is then a unit vector orthogonal to
             # both, and the Ritz value still cannot rise
-            basis = np.linalg.qr(np.column_stack([x, bx - value * x, *previous]))[0]
-            y = np.linalg.eigh(basis.conj().T @ b @ basis)[1][:, 0]
+            basis = _orthonormal_columns(np.array([x, bx - value * x, *previous]).T)
+            y = _lowest_eigenvector(basis.conj().T @ b @ basis)
             step = basis @ y
             b_step = b @ step
             step_value = rayleigh(step, b_step)

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+
+# When a property fails, hypothesis' pytest plugin imports its patch helper,
+# which imports mypy_extensions, whose DeprecationWarning the suite's
+# filterwarnings = ["error"] turns into an INTERNALERROR that hides the
+# falsifying example.  Imported once here, ignoring only that category.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from shellqm.experiments import random_hermitian, random_state
 

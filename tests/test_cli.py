@@ -727,6 +727,22 @@ def test_spectrum_and_probs_contract_on_generated_scenarios(tmp_path_factory, do
         assert abs(sum(probabilities) - 1.0) <= 1e-12
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(admissible_scenarios(), st.integers(2000, 10**4), st.sampled_from(["csv", "structured"]))
+def test_verify_contract_on_generated_scenarios(tmp_path_factory, doc, trials, fmt):
+    path = tmp_path_factory.mktemp("verify") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["verify", "--scenario", str(path), "--trials", str(trials),
+                               "--format", fmt])
+    assert code in (0, 1) and err == ""
+    document = json.loads(out)  # one document, whatever the format
+    passed = [report["passed"] for report in document["reports"]]
+    assert document["passed"] == (code == 0) == all(passed)
+    # every level of the spectrum, each found by the minimizer
+    courant_fischer = next(r for r in document["reports"] if r["name"] == "courant-fischer")
+    assert courant_fischer["passed"]
+
+
 class TestGoldenOutputs:
     """The committed golden files regenerate bit for bit."""
 

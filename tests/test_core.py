@@ -327,8 +327,9 @@ class TestThresholdTable:
     """Every threshold is assigned once, in core's table."""
 
     TABLE = ("TOL_SHELL", "TOL_HERM", "TOL_ZERO", "TOL_SAME_STATE", "JACOBI_REL_TOL",
-             "TOL_RESOLUTION", "TOL_CLUSTER", "TOL_GRAM", "TOL_START", "RK4_SHELL_TOL",
-             "TOL_REST", "TOL_MEAN_GUARD", "TOL_CF", "TOL_NORM_DRIFT", "POOL_MIN_EXPECTED")
+             "JACOBI_TINY_NORM", "TOL_RESOLUTION", "TOL_CLUSTER", "TOL_GRAM", "TOL_START",
+             "RK4_SHELL_TOL", "TOL_REST", "TOL_MEAN_GUARD", "TOL_CF", "TOL_NORM_DRIFT",
+             "POOL_MIN_EXPECTED")
 
     @staticmethod
     def modules():

@@ -18,7 +18,7 @@ from shellqm import (
     project_to_shell,
     unitary_propagator,
 )
-from shellqm.core import JACOBI_REL_TOL, TOL_CLUSTER, phase_fix
+from shellqm.core import JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, phase_fix
 from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _round_robin
 from shellqm.rng import master_rng
 from shellqm.errors import NoConvergenceError, NotSquareError
@@ -88,11 +88,16 @@ def round_robin_lists(d: int) -> list[list[tuple[int, int]]]:
 def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whole solve over the list-built schedule, with each round's A and
     V updates made apart by `rotate_round_apart` and the off-diagonal norm of
-    A - diag(A): the oracle for `_jacobi_eigh`'s eigenvalues and eigenvectors,
-    bit for bit."""
+    A - diag(A), after the same power-of-two prescale of a tiny A: the oracle
+    for `_jacobi_eigh`'s eigenvalues and eigenvectors, bit for bit."""
     d = matrix.shape[0]
     a, v = np.array(matrix, dtype=complex), np.eye(d, dtype=complex)
     fro = float(np.linalg.norm(a))
+    shift = 0
+    if fro < JACOBI_TINY_NORM:
+        shift = -int(np.frexp(np.max(np.abs(a.view(float))))[1])
+        a = np.ldexp(a.view(float), shift).view(complex)
+        fro = float(np.linalg.norm(a))
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
         rounds = [tuple(np.array(side, dtype=np.intp) for side in zip(*pairs))
@@ -102,7 +107,7 @@ def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break
             for p, q in rounds:
                 rotate_round_apart(a, v, p, q, target / d)
-    values = np.diag(a).real.copy()
+    values = np.ldexp(np.diag(a).real, -shift)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], v[:, order]
     cluster = _cluster_labels(values)
@@ -492,7 +497,9 @@ class TestRoundRobin:
     def test_solve_is_bit_exact_on_edge_matrices(self, matrix):
         assert_same_bits(matrix)
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    # below 1e-154 the squares in ||A||_F underflow: 1e-200 and 1e-300 are
+    # solved only through the power-of-two prescale
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200, 1e-300])
     @pytest.mark.filterwarnings("error")
     def test_extreme_scale_raises_no_warning(self, scale, rng):
         base = random_hermitian(16, rng).matrix

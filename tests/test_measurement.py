@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shellqm.measurement
 from shellqm import (
     AdmissibleSubspace,
     HermitianObservable,
@@ -17,7 +20,8 @@ from shellqm import (
 )
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
-from shellqm.measurement import PG_MAX_ITER, PG_RESTARTS, outcome_index
+from shellqm.measurement import (PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
+                                 _orthonormal_columns, outcome_index)
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -274,6 +278,92 @@ class TestConstrainedMin:
         with pytest.raises(NoConvergenceError) as err:
             constrained_min(obs, sub, seed=1)
         assert err.value.best_value == pytest.approx(0.0, abs=1e-4)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def public_columns(m):
+    """The public call `_orthonormal_columns` stands for."""
+    return np.linalg.qr(m)[0]
+
+
+def public_lowest(h):
+    """The public call `_lowest_eigenvector` stands for."""
+    return np.linalg.eigh(h)[1][:, 0]
+
+
+def outcome(f, *args):
+    """f(*args)'s bits, or the type and message of what it raised."""
+    try:
+        return bits(f(*args))
+    except np.linalg.LinAlgError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def ritz_blocks(draw):
+    """A complex (d, 2) or (d, 3) block, d = 1..16, as the minimizer builds it
+    (a transposed fresh array): random, with the third column in the span of
+    the first two, or with a zero column; scaled by 1, 1e-150 or 1e150."""
+    d = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["random", "spanned", "zero"]))
+    k = 3 if kind == "spanned" else draw(st.sampled_from([2, 3]))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    m = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+    if kind == "spanned":
+        m[2] = (rng.normal() + 1j * rng.normal()) * m[0] + rng.normal() * m[1]
+    elif kind == "zero":
+        m[draw(st.integers(0, k - 1))] = 0.0
+    return (draw(st.sampled_from([1.0, 1e-150, 1e150])) * m).T
+
+
+class TestLapackHelpers:
+    """The minimizer's QR and 3x3 eigh give the public calls' bits."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(ritz_blocks())
+    def test_same_bits_as_the_public_calls(self, block):
+        q = public_columns(block)
+        assert outcome(_orthonormal_columns, block.T.copy().T) == bits(q)
+        # a Hermitian Ritz matrix of the block's own size and scale
+        h = q.conj().T @ (block @ block.conj().T) @ q
+        assert outcome(_lowest_eigenvector, h) == outcome(public_lowest, h)
+
+    @pytest.mark.parametrize("d, k", [(2, 2), (4, 3), (16, 3)])
+    def test_nan_block(self, d, k):
+        block = np.full((k, d), np.nan + 0j).T
+        q = public_columns(block)
+        assert np.isnan(q).all()
+        assert outcome(_orthonormal_columns, block.T.copy().T) == bits(q)
+        # LAPACK returns NaN at 2x2 and does not converge at 3x3: the same either way
+        h = np.full((k, k), np.nan + 0j)
+        assert outcome(_lowest_eigenvector, h) == outcome(public_lowest, h)
+
+    @pytest.mark.parametrize("case", ["d1", "d4", "d16", "degenerate"])
+    def test_minimizer_is_bit_exact_against_the_public_calls(self, case, rng, monkeypatch):
+        if case == "degenerate":
+            u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+            matrix = (u * np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])) @ u.conj().T
+            obs = HermitianObservable(0.5 * (matrix + matrix.conj().T))
+        else:
+            obs = random_hermitian(int(case[1:]), rng)
+        vectors = np.linalg.eigh(obs.matrix)[1]
+
+        def levels():
+            out = []
+            for n in range(1, obs.dimension + 1):
+                sub = AdmissibleSubspace(level=n, basis=vectors[:, : n - 1])
+                r = constrained_min(obs, sub, seed=n)
+                out.append((bits(r.eigenvalue), r.iterations, r.restarts,
+                            bits(r.argmin.components)))
+            return out
+
+        fast = levels()
+        monkeypatch.setattr(shellqm.measurement, "_orthonormal_columns", public_columns)
+        monkeypatch.setattr(shellqm.measurement, "_lowest_eigenvector", public_lowest)
+        assert levels() == fast
 
 
 class TestAdmissibleSubspace:
