@@ -149,7 +149,9 @@ def _raise_eigh_error(err, flag):
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
     LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
-    factor.  Overwrites m, so m must be a fresh array."""
+    factor.  Overwrites m, so m must be a fresh array.  The one `qr_r_raw`
+    gufunc is numpy 2's layout (numpy 1 split it by shape), hence the
+    `numpy>=2.0` floor."""
     with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         tau = _umath_linalg.qr_r_raw(m, signature="D->D")
