@@ -21,6 +21,7 @@ from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVect
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
+    InvalidArgumentError,
     NoConvergenceError,
 )
 from .linalg import EigenSystem, eigh
@@ -37,7 +38,9 @@ class AdmissibleSubspace:
     """Admissible states for measuring level n: shell vectors orthogonal to
     the eigenvectors of the n-1 levels below.
 
-    Level 1 is the full shell (empty orthogonality basis).
+    Level 1 is the full shell (empty orthogonality basis).  A basis with a
+    non-finite entry raises InvalidArgumentError; one whose Gram matrix is
+    more than TOL_GRAM off the identity, or overflows, raises ValueError.
     """
 
     level: int
@@ -53,9 +56,14 @@ class AdmissibleSubspace:
                 f"level {self.level} needs {self.level - 1} basis vectors, "
                 f"got {basis.shape[1]}"
             )
+        if not np.isfinite(basis).all():
+            raise InvalidArgumentError("orthogonality basis has a non-finite entry")
         if basis.shape[1]:
-            gram = basis.conj().T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > TOL_GRAM:
+            # a finite basis far from unit length overflows the product to
+            # inf or NaN, which the test below refuses without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = basis.conj().T @ basis
+            if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= TOL_GRAM:
                 raise ValueError("orthogonality basis is not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -146,15 +154,18 @@ def _raise_eigh_error(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
+def _orthonormal_columns(m: np.ndarray, complete: bool = False) -> np.ndarray:
     """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
     LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
-    factor.  Overwrites m, so m must be a fresh array.  The one `qr_r_raw`
-    gufunc is numpy 2's layout (numpy 1 split it by shape), hence the
-    `numpy>=2.0` floor."""
+    factor; with `complete`, `np.linalg.qr(m, mode="complete")[0]` of a block
+    with more rows than columns.  Overwrites m, so m must be a fresh array.
+    The one `qr_r_raw` gufunc is numpy 2's layout (numpy 1 split it by
+    shape), hence the `numpy>=2.0` floor."""
     with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         tau = _umath_linalg.qr_r_raw(m, signature="D->D")
+        if complete:
+            return _umath_linalg.qr_complete(m, tau, signature="DD->D")
         return _umath_linalg.qr_reduced(m, tau, signature="DD->D")
 
 
@@ -187,10 +198,11 @@ def constrained_min(
     value and its vector.  Nothing scales that rule: the descent ends only
     where rounding ends it.  The 3x3 problem is solved by numpy, so the
     minimizer does not depend on the eigensolver it checks, and hbar only
-    scales the result.  The block's QR and the 3x3 eigh call numpy's LAPACK
-    gufuncs directly, the ones `np.linalg.qr` and `np.linalg.eigh` call,
-    inside the same errstate: the same bits, warnings and errors, without
-    the wrappers' Python overhead, which is most of a step at these sizes.
+    scales the result.  The complete QR that gives q, the block's QR and the
+    3x3 eigh call numpy's LAPACK gufuncs directly, the ones `np.linalg.qr`
+    and `np.linalg.eigh` call, inside the same errstate: the same bits,
+    warnings and errors, without the wrappers' Python overhead, which is most
+    of a step at these sizes.
     Starts are drawn from the seed-keyed stream; a start still falling after
     PG_MAX_ITER steps is restarted, and after the restart budget
     NoConvergenceError reports the best form value found.
@@ -200,12 +212,14 @@ def constrained_min(
     require_positive(hbar, "hbar")
     if sub.level > d:
         raise ValueError(f"level {sub.level} exceeds dimension {d}")
-    q = np.linalg.qr(sub.basis, mode="complete")[0][:, sub.level - 1:]
+    # level - 1 < d columns, so the complete QR has more rows than columns;
+    # sub.basis may be a read-only view of a solved spectrum, hence the copy
+    q = _orthonormal_columns(sub.basis.copy(), complete=True)[:, sub.level - 1:]
     qh = q.conj().T
     b = qh @ obs.matrix @ q
 
     def rayleigh(x, bx):
-        return float(np.real(np.vdot(x, bx))) / float(np.real(np.vdot(x, x)))
+        return float(np.vdot(x, bx).real) / float(np.vdot(x, x).real)
 
     rng = master_rng(seed)
     best = np.inf

@@ -14,7 +14,7 @@ import shellqm.experiments
 import shellqm.rng
 import shellqm.scenario
 from shellqm.cli import COMMANDS, MAX_SAMPLES, main
-from shellqm.core import TOL_HERM
+from shellqm.core import TOL_HERM, TOL_SHELL
 from shellqm.errors import ScenarioParseError, ScenarioValidationError
 from shellqm.experiments import MAX_TRIALS
 from shellqm.rng import master_rng
@@ -741,6 +741,53 @@ def test_verify_contract_on_generated_scenarios(tmp_path_factory, doc, trials, f
     # every level of the spectrum, each found by the minimizer
     courant_fischer = next(r for r in document["reports"] if r["name"] == "courant-fischer")
     assert courant_fischer["passed"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(admissible_scenarios(), st.sampled_from(["csv", "structured"]))
+def test_mean_contract_on_generated_scenarios(tmp_path_factory, doc, fmt):
+    path = tmp_path_factory.mktemp("mean") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["mean", "--scenario", str(path), "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "structured":
+        table = json.loads(out)
+        mean, direct, difference = (table[k] for k in
+                                    ("mean_of_outcomes", "observable_over_hbar", "difference"))
+    else:
+        [row] = csv_rows(out, "mean_of_outcomes,observable_over_hbar,difference")
+        mean, direct, difference = map(float, row)
+    assert difference == mean - direct
+    # scaled by the spectral radius, not by the value: a wide spectrum's
+    # small mean is still computed to the spectrum's own rounding
+    matrix = np.array(doc["observable"]["re"]) + 1j * np.array(doc["observable"]["im"])
+    assert abs(difference) <= 1e-10 * max(1.0, float(np.linalg.norm(matrix, 2)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(admissible_scenarios(), st.integers(1, 64),
+       st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False),
+       st.sampled_from(["csv", "structured"]))
+def test_evolve_contract_on_generated_scenarios(tmp_path_factory, doc, samples, time, fmt):
+    path = tmp_path_factory.mktemp("evolve") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["evolve", "--scenario", str(path), "--samples", str(samples),
+                               f"--time={time!r}", "--format", fmt])
+    assert (code, err) == (0, "")
+    hbar, d = doc["hbar"], doc["dimension"]
+    if fmt == "structured":
+        trajectory = json.loads(out)["trajectory"]
+        times = [row["t"] for row in trajectory]
+        residuals = [float(np.sum(np.square(row["re"]) + np.square(row["im"]))) - hbar
+                     for row in trajectory]
+    else:
+        header = ",".join(["t", *(f"{p}_{k}" for k in range(1, d + 1) for p in ("re", "im")),
+                           "norm_residual"])
+        rows = csv_rows(out, header)
+        assert all(len(r) == 2 * d + 2 for r in rows)
+        times, residuals = [float(r[0]) for r in rows], [float(r[-1]) for r in rows]
+    assert times == np.linspace(0.0, time, samples + 1).tolist()
+    assert all(abs(r) <= TOL_SHELL * hbar for r in residuals)
 
 
 class TestGoldenOutputs:

@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,9 +287,12 @@ def bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def public_columns(m):
+def public_columns(m, complete=False):
     """The public call `_orthonormal_columns` stands for."""
-    return np.linalg.qr(m)[0]
+    return np.linalg.qr(m, mode="complete" if complete else "reduced")[0]
+
+
+complete_columns = functools.partial(_orthonormal_columns, complete=True)
 
 
 def public_lowest(h):
@@ -319,6 +325,22 @@ def ritz_blocks(draw):
     return (draw(st.sampled_from([1.0, 1e-150, 1e150])) * m).T
 
 
+@st.composite
+def complement_bases(draw):
+    """A complex (d, n) block, d = 1..16, n = 0..d-1, as `constrained_min`
+    takes the complete QR of it: the first n columns of a unitary (a strided
+    view, as `AdmissibleSubspace.for_level` gives), random columns, or either
+    with a zero column; scaled by 1, 1e-150 or 1e150."""
+    d = draw(st.integers(1, 16))
+    n = draw(st.integers(0, d - 1))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = np.linalg.qr(g)[0] if draw(st.booleans()) else g
+    if n and draw(st.booleans()):
+        m[:, draw(st.integers(0, n - 1))] = 0.0
+    return (draw(st.sampled_from([1.0, 1e-150, 1e150])) * m)[:, :n]
+
+
 class TestLapackHelpers:
     """The minimizer's QR and 3x3 eigh give the public calls' bits."""
 
@@ -340,6 +362,17 @@ class TestLapackHelpers:
         # LAPACK returns NaN at 2x2 and does not converge at 3x3: the same either way
         h = np.full((k, k), np.nan + 0j)
         assert outcome(_lowest_eigenvector, h) == outcome(public_lowest, h)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(complement_bases())
+    def test_complete_qr_same_bits_as_the_public_call(self, block):
+        # constrained_min hands the helper a fresh copy, which it overwrites
+        assert outcome(complete_columns, block.copy()) == outcome(public_columns, block, True)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (4, 3), (16, 7)])
+    def test_complete_qr_of_a_nan_block(self, d, n):
+        block = np.full((d, n), np.nan + 0j)
+        assert outcome(complete_columns, block.copy()) == outcome(public_columns, block, True)
 
     @pytest.mark.parametrize("case", ["d1", "d4", "d16", "degenerate"])
     def test_minimizer_is_bit_exact_against_the_public_calls(self, case, rng, monkeypatch):
@@ -380,6 +413,33 @@ class TestAdmissibleSubspace:
         es = eigh(random_hermitian(3, rng))
         with pytest.raises(ValueError):
             AdmissibleSubspace.for_level(es, 4)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_basis_without_a_warning(self, entry):
+        # a NaN Gram deviation compares False against any bound, and an
+        # infinite entry makes the Gram product warn: both are refused first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                AdmissibleSubspace(level=2, basis=np.array([[entry], [0.0]], dtype=complex))
+
+    @pytest.mark.parametrize("entry", [1e200, 1e200 + 1e200j])
+    def test_rejects_overflowing_basis_without_a_warning(self, entry):
+        # finite, but its Gram product overflows to inf (and NaN for the
+        # complex entry): the deviation test is NaN-safe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not orthonormal"):
+                AdmissibleSubspace(level=2, basis=np.array([[entry], [0.0]], dtype=complex))
+
+    def test_minimizer_leaves_a_read_only_basis_as_it_was(self, rng):
+        obs = random_hermitian(5, rng)
+        es = eigh(obs)
+        sub = AdmissibleSubspace.for_level(es, 3)
+        before = sub.basis.copy()
+        result = constrained_min(obs, sub, seed=3)
+        assert abs(result.eigenvalue - es.eigenvalues[2]) <= 1e-10
+        assert bits(sub.basis) == bits(before)
 
 
 class TestSampling:
