@@ -5,17 +5,19 @@ applied directly to the complex Hermitian matrix.  Jacobi is unconditionally
 stable for Hermitian input and highly accurate at the small dimensions this
 package targets (d up to a few dozen), with no dependency on an external
 eigensolver.  A sweep is rounds in round-robin order (d - 1 of them, or d
-for odd d), built per solve in closed form as two (rounds, pairs) index
-arrays, and each round's disjoint rotations are applied as one vectorised
-update, to the columns of the matrix and of the accumulated rotations at
-once.  A round's few real rotation angles are computed on Python floats,
-which round exactly as numpy does and cost less than numpy calls on
-arrays of d / 2 entries.  It takes only a `HermitianObservable`, whose type
-guarantees a square, exactly Hermitian matrix with a finite norm.
+for odd d), built in closed form as two (rounds, pairs) index arrays once
+per dimension and cached, and each round's disjoint rotations are applied
+as one vectorised update, to the columns of the matrix and of the
+accumulated rotations at once.  A round's few real rotation angles are
+computed on Python floats, which round exactly as numpy does and cost less
+than numpy calls on arrays of d / 2 entries.  It takes only a
+`HermitianObservable`, whose type guarantees a square, exactly Hermitian
+matrix with a finite norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +91,16 @@ def _round_indices(d: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ..
     at = np.concatenate((d * p + q, (d + 1) * pq), axis=-1)
     zeroed = np.concatenate((off, off + 1, 2 * (d + 1) * pq + 1), axis=-1)
     return pq, qp, at, zeroed
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One sweep's rounds for dimension d >= 2, each the `_round_indices` of
+    one row of `_round_robin(d)`, read-only and built once per dimension."""
+    indices = _round_indices(d, *_round_robin(d))
+    for array in indices:
+        array.setflags(write=False)
+    return tuple(zip(*indices))
 
 
 def _jacobi_rotate_round(av: np.ndarray, pq: np.ndarray, qp: np.ndarray, at: np.ndarray,
@@ -204,7 +216,7 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
         # Entries all below target/d cannot push the off-diagonal norm above
         # the target, so they are not worth a rotation.
         skip = target / d
-        rounds = list(zip(*_round_indices(d, *_round_robin(d))))
+        rounds = _sweep(d)
         for _ in range(JACOBI_SWEEPS):
             if _offdiag_norm(a) <= target:
                 break

@@ -11,10 +11,42 @@ probabilities p_n = |<a_n|psi>|^2 / hbar.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
+
+# numpy's private names the minimizer calls: the LAPACK gufuncs behind
+# `np.linalg.qr` and `np.linalg.eigh`, and the FP-error state machinery
+# behind `np.errstate`.  Checked once, before first use, by _require_numpy.
+NUMPY_PRIVATE = (
+    "numpy.linalg._umath_linalg.qr_r_raw",
+    "numpy.linalg._umath_linalg.qr_reduced",
+    "numpy.linalg._umath_linalg.qr_complete",
+    "numpy.linalg._umath_linalg.eigh_lo",
+    "numpy._core.umath._make_extobj",
+    "numpy._core.umath._extobj_contextvar",
+)
+
+
+def _require_numpy() -> None:
+    """Raise ImportError naming `numpy>=2.0` and the first name of
+    NUMPY_PRIVATE this numpy lacks."""
+    for path in NUMPY_PRIVATE:
+        module, _, name = path.rpartition(".")
+        try:
+            found = hasattr(importlib.import_module(module), name)
+        except ImportError:
+            found = False
+        if not found:
+            raise ImportError(f"shellqm needs numpy>=2.0: this numpy {np.__version__} "
+                              f"has no {path}")
+
+
+_require_numpy()
+
+from numpy._core.umath import _extobj_contextvar, _make_extobj  # noqa: E402
 
 from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, make_state,
                    project_to_shell, require_dim, require_positive, require_positive_int)
@@ -154,27 +186,46 @@ def _raise_eigh_error(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
+# The FP-error states `np.linalg.qr` and `np.linalg.eigh` enter, built once:
+# every field is set, so entering one does not depend on the caller's state
+# (the buffer size, which these gufuncs do not use, is the one at import).
+_QR_ERRSTATE = _make_extobj(call=_raise_qr_error, invalid="call", over="ignore",
+                            divide="ignore", under="ignore")
+_EIGH_ERRSTATE = _make_extobj(call=_raise_eigh_error, invalid="call", over="ignore",
+                              divide="ignore", under="ignore")
+
+
 def _orthonormal_columns(m: np.ndarray, complete: bool = False) -> np.ndarray:
     """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
     LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
     factor; with `complete`, `np.linalg.qr(m, mode="complete")[0]` of a block
     with more rows than columns.  Overwrites m, so m must be a fresh array.
+    The calls run in `np.linalg.qr`'s error state, prebuilt once as
+    _QR_ERRSTATE and entered and left through numpy's context variable as
+    `np.errstate` enters and leaves its own, but with no state built per
+    call: the same warnings and errors, and the caller's state is back on
+    return or raise.
     The one `qr_r_raw` gufunc is numpy 2's layout (numpy 1 split it by
     shape), hence the `numpy>=2.0` floor."""
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    token = _extobj_contextvar.set(_QR_ERRSTATE)
+    try:
         tau = _umath_linalg.qr_r_raw(m, signature="D->D")
         if complete:
             return _umath_linalg.qr_complete(m, tau, signature="DD->D")
         return _umath_linalg.qr_reduced(m, tau, signature="DD->D")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _lowest_eigenvector(h: np.ndarray) -> np.ndarray:
     """`np.linalg.eigh(h)[1][:, 0]` of a complex Hermitian h, bit for bit, from
-    the LAPACK gufunc behind it."""
-    with np.errstate(call=_raise_eigh_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    the LAPACK gufunc behind it, in `np.linalg.eigh`'s error state, prebuilt
+    once as _EIGH_ERRSTATE and entered as in `_orthonormal_columns`."""
+    token = _extobj_contextvar.set(_EIGH_ERRSTATE)
+    try:
         return _umath_linalg.eigh_lo(h, signature="D->dD")[1][:, 0]
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def constrained_min(
@@ -200,9 +251,10 @@ def constrained_min(
     minimizer does not depend on the eigensolver it checks, and hbar only
     scales the result.  The complete QR that gives q, the block's QR and the
     3x3 eigh call numpy's LAPACK gufuncs directly, the ones `np.linalg.qr`
-    and `np.linalg.eigh` call, inside the same errstate: the same bits,
-    warnings and errors, without the wrappers' Python overhead, which is most
-    of a step at these sizes.
+    and `np.linalg.eigh` call, inside the same error states, built once at
+    import: the same bits, warnings and errors, without the wrappers' Python
+    overhead or a per-call `np.errstate`, which were most of a step at these
+    sizes.
     Starts are drawn from the seed-keyed stream; a start still falling after
     PG_MAX_ITER steps is restarted, and after the restart budget
     NoConvergenceError reports the best form value found.

@@ -19,7 +19,7 @@ from shellqm import (
     unitary_propagator,
 )
 from shellqm.core import JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, phase_fix
-from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _round_robin
+from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _round_indices, _round_robin, _sweep
 from shellqm.rng import master_rng
 from shellqm.errors import NoConvergenceError, NotSquareError
 
@@ -437,6 +437,23 @@ class TestRoundRobin:
         big_p, big_q = _round_robin(d)
         got = [list(zip(p.tolist(), q.tolist())) for p, q in zip(big_p, big_q)]
         assert got == round_robin_lists(d)
+
+    def test_sweep_plan_is_cached_per_dimension(self):
+        assert _sweep(5) is _sweep(5)
+        assert _sweep(5) is not _sweep(6)
+
+    @pytest.mark.parametrize("d", range(2, 66))
+    def test_sweep_plan_is_a_fresh_plan_made_read_only(self, d):
+        fresh = list(zip(*_round_indices(d, *_round_robin(d))))
+        plan = _sweep(d)
+        assert len(plan) == len(fresh)
+        for got, want in zip(plan, fresh):
+            assert len(got) == len(want) == 4
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 9, 16, 33, 64])
     def test_random_matrices_against_lapack(self, d, rng):

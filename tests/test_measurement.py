@@ -1,5 +1,11 @@
+import ast
+import contextlib
 import functools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from shellqm import (
 )
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
-from shellqm.measurement import (PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
+from shellqm.measurement import (NUMPY_PRIVATE, PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
                                  _orthonormal_columns, outcome_index)
 from shellqm.rng import master_rng
 
@@ -397,6 +403,115 @@ class TestLapackHelpers:
         monkeypatch.setattr(shellqm.measurement, "_orthonormal_columns", public_columns)
         monkeypatch.setattr(shellqm.measurement, "_lowest_eigenvector", public_lowest)
         assert levels() == fast
+
+
+def edge_block(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
+    """A complex (rows, cols) block of NaNs, or of entries +-1e308 or
+    +-1e-320 (subnormal) in each part with random signs."""
+    if kind == "nan":
+        return np.full((rows, cols), np.nan + 0j)
+    rng = master_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(2, rows, cols))
+    return {"huge": 1e308, "subnormal": 1e-320}[kind] * (signs[0] + 1j * signs[1])
+
+
+def edge_hermitian(kind: str, k: int, seed: int) -> np.ndarray:
+    """An exactly Hermitian k x k matrix of `edge_block`'s entries."""
+    m = edge_block(kind, k, k, seed)
+    upper = np.triu(m, 1)
+    h = upper + upper.conj().T
+    h[np.diag_indices(k)] = m.diagonal().real
+    return h
+
+
+def under_outer_state(mode, f, *args):
+    """`outcome(f, *args)` with warnings as errors, inside an outer
+    `np.errstate(all=mode)` (mode None: the default state), also giving a
+    FloatingPointError or RuntimeWarning as its type and message.  Asserts
+    that the call leaves np.geterr() as it found it, raised or not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all=mode) if mode else contextlib.nullcontext():
+            before = np.geterr()
+            try:
+                return outcome(f, *args)
+            except (FloatingPointError, RuntimeWarning) as err:
+                return type(err), str(err)
+            finally:
+                assert np.geterr() == before
+
+
+class TestLapackErrorStates:
+    """The helpers enter the error states of `np.linalg.qr` and `eigh`, so the
+    caller's state changes neither their bits nor what they raise or warn,
+    and is restored after they return or raise."""
+
+    MODES = ["raise", "warn", "ignore", None]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["nan", "huge", "subnormal"])
+    @pytest.mark.parametrize("d, k", [(1, 2), (2, 2), (4, 3), (16, 3)])
+    def test_qr_and_eigh_match_the_public_calls(self, mode, kind, d, k):
+        block = edge_block(kind, k, d, seed=d + k).T  # a transposed fresh array
+        got = under_outer_state(mode, _orthonormal_columns, block.T.copy().T)
+        assert got == under_outer_state(mode, public_columns, block)
+        h = edge_hermitian(kind, k, seed=d + k)
+        assert under_outer_state(mode, _lowest_eigenvector, h) == \
+            under_outer_state(mode, public_lowest, h)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["nan", "huge", "subnormal"])
+    @pytest.mark.parametrize("d, n", [(2, 1), (4, 3), (16, 7)])
+    def test_complete_qr_matches_the_public_call(self, mode, kind, d, n):
+        block = edge_block(kind, d, n, seed=d + n)
+        assert under_outer_state(mode, complete_columns, block.copy()) == \
+            under_outer_state(mode, public_columns, block, True)
+
+    def test_the_nan_cases_raise_and_restore_the_callers_state(self):
+        # the cases above include a raised LinAlgError under every mode
+        h = np.full((3, 3), np.nan + 0j)
+        for mode in self.MODES:
+            assert under_outer_state(mode, _lowest_eigenvector, h) == (
+                np.linalg.LinAlgError, "Eigenvalues did not converge")
+        assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
+                               "invalid": "warn"}
+
+
+class TestNumpyPrivateNames:
+    """The private numpy names the package calls are exactly NUMPY_PRIVATE,
+    which is checked once, at import."""
+
+    def test_private_names_used_are_the_checked_ones(self):
+        used = set()
+        for path in Path(shellqm.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "_umath_linalg"):
+                    used.add(f"numpy.linalg._umath_linalg.{node.attr}")
+                elif (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").startswith("numpy._core")):
+                    used.update(f"{node.module}.{alias.name}" for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    assert not any(a.name.startswith("numpy._core") for a in node.names)
+        assert len(set(NUMPY_PRIVATE)) == len(NUMPY_PRIVATE)
+        assert used == set(NUMPY_PRIVATE)
+
+    @pytest.mark.parametrize("path", NUMPY_PRIVATE)
+    def test_a_missing_name_is_an_import_error_naming_it(self, path):
+        module, _, name = path.rpartition(".")
+        code = (f"import importlib\n"
+                f"delattr(importlib.import_module({module!r}), {name!r})\n"
+                f"try:\n"
+                f"    import shellqm\n"
+                f"except ImportError as err:\n"
+                f"    print(err)\n")
+        src = str(Path(shellqm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 0 and run.stderr == ""
+        assert "numpy>=2.0" in run.stdout and f"has no {path}\n" in run.stdout
 
 
 class TestAdmissibleSubspace:
