@@ -52,7 +52,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def require_positive(value, name: str) -> None:
     """Refuse a `value` that is not a positive finite real number (a bool is not
     one): the package's one rule for hbar, mass, omega, tolerances and step sizes."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    # a float is a Real and no bool, so it skips those checks, the costly part
+    if (type(value) is not float
+            and (isinstance(value, bool) or not isinstance(value, numbers.Real))
             or not 0 < value <= sys.float_info.max):  # NaN fails too
         raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
 
@@ -138,6 +140,14 @@ class StateVector:
         return float(np.sum(np.abs(self.components) ** 2))
 
 
+def fro_norm(x: np.ndarray) -> float:
+    """`np.linalg.norm(x)` of a complex array x, bit for bit (the same dot products of
+    the real and imaginary parts of `x.ravel(order="K")`), without the wrapper's dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _hermitian_residual(matrix) -> float:
     """max |M_nm - conj(M_mn)|: 0 when empty, NaN or inf when an entry is."""
     m = np.asarray(matrix, dtype=complex)
@@ -181,7 +191,7 @@ class HermitianObservable:
     def __post_init__(self):
         m = hermitian_part(np.array(self.matrix, dtype=complex))
         with np.errstate(over="ignore"):  # an overflow is refused, not warned about
-            if not np.isfinite(np.linalg.norm(m)):
+            if not math.isfinite(fro_norm(m)):
                 raise InvalidArgumentError("observable matrix is too large: its norm overflows")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -226,7 +236,7 @@ class GeneralQuadraticObservable:
 def _squared_norm(psi: np.ndarray) -> float:
     """sum |psi_n|^2, refusing a non-finite entry and a sum that overflows."""
     with np.errstate(over="ignore"):
-        norm_sq = float((np.abs(psi) ** 2).sum())  # the method skips np.sum's dispatch
+        norm_sq = float(np.add.reduce(np.abs(psi) ** 2))  # np.sum's reduction, without its dispatch
     if not math.isfinite(norm_sq):
         if not np.isfinite(psi).all():
             raise InvalidArgumentError("state has a non-finite component")
@@ -241,7 +251,7 @@ def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
     on a non-finite component, an overflowing sum or an hbar that is not positive and
     finite, and DimensionMismatchError on empty input.  Components are stored unchanged.
     """
-    psi = np.atleast_1d(np.asarray(components, dtype=complex))
+    psi = np.array(components, dtype=complex, copy=None, ndmin=1)
     if psi.ndim != 1 or psi.shape[0] == 0:
         raise DimensionMismatchError("state components must be a nonempty 1-d vector")
     require_positive(hbar, "hbar")
@@ -253,12 +263,12 @@ def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
 
 def project_to_shell(raw, hbar: float) -> StateVector:
     """Rescale an arbitrary nonzero vector onto the shell of radius sqrt(hbar)."""
-    raw = np.atleast_1d(np.asarray(raw, dtype=complex))
+    raw = np.array(raw, dtype=complex, copy=None, ndmin=1)
     if raw.ndim != 1 or raw.shape[0] == 0:
         raise DimensionMismatchError("input must be a nonempty 1-d vector")
     require_positive(hbar, "hbar")
     norm_sq = _squared_norm(raw)
-    if not norm_sq >= np.finfo(float).tiny:  # zero, or too small to rescale: its square underflows
+    if not norm_sq >= sys.float_info.min:  # zero, or too small to rescale: its square underflows
         raise ZeroVectorError("cannot project the zero vector onto the shell")
     return make_state(raw * np.sqrt(hbar / norm_sq), hbar)
 
@@ -267,7 +277,7 @@ def phase_fix(components: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first component above TOL_ZERO * ||v||_2 is real
     and positive.  Keyed on the first such component (not the largest) so the
     representative is stable under small perturbations of other entries."""
-    idx = np.flatnonzero(np.abs(components) > TOL_ZERO * np.linalg.norm(components))
+    idx = (np.abs(components) > TOL_ZERO * fro_norm(components)).nonzero()[0]
     if idx.size == 0:
         return np.array(components, dtype=complex)
     lead = components[idx[0]]

@@ -97,12 +97,14 @@ def flow_numeric(
         if not finite.all():
             powers = powers[: np.argmin(finite)]
         block = powers.shape[0]
+        screen = 0.5 * RK4_SHELL_TOL * hbar
         for start in range(0, steps, block):
             states = powers[: steps - start] @ psi
             parts = states.view(float)
-            norms = (parts * parts).sum(axis=1)
-            for off in states[~(np.abs(norms - hbar) <= 0.5 * RK4_SHELL_TOL * hbar)]:  # NaN fails
-                make_state(off, hbar, tol=RK4_SHELL_TOL)
+            dev = np.abs(np.add.reduce(parts * parts, axis=1) - hbar)
+            if not np.maximum.reduce(dev) <= screen:  # NaN fails: only then mask and decide
+                for off in states[~(dev <= screen)]:
+                    make_state(off, hbar, tol=RK4_SHELL_TOL)
             psi = states[-1]
     return Trajectory(np.array([0.0, t]), (psi0, make_state(psi, hbar, tol=RK4_SHELL_TOL)))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT, HermitianObservable,
-                   StateVector, make_state, require_positive_int)
+                   StateVector, fro_norm, make_state, require_positive_int)
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
@@ -221,7 +221,7 @@ def random_hermitian(d: int, rng: np.random.Generator) -> HermitianObservable:
 def random_state(d: int, rng: np.random.Generator, hbar: float = 1.0) -> StateVector:
     """Random state drawn uniformly on the shell."""
     raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return make_state(raw * np.sqrt(hbar) / np.linalg.norm(raw), hbar)
+    return make_state(raw * np.sqrt(hbar) / fro_norm(raw), hbar)
 
 
 def courant_fischer_report(obs: HermitianObservable, seed: int) -> VerificationReport:

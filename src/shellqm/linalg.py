@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, TOL_RESOLUTION,
-                   HermitianObservable, phase_fix, require_dim)
+                   HermitianObservable, fro_norm, phase_fix, require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
 JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
@@ -158,7 +158,7 @@ def _jacobi_rotate_round(av: np.ndarray, pq: np.ndarray, qp: np.ndarray, at: np.
 def _offdiag_norm(a: np.ndarray) -> float:
     off = a.copy()
     off.flat[:: a.shape[0] + 1] = 0
-    return float(np.linalg.norm(off))
+    return fro_norm(off)
 
 
 def _cluster_labels(values: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def _cluster_labels(values: np.ndarray) -> np.ndarray:
     TOL_CLUSTER times the pair and TOL_RESOLUTION times the spectral radius (each at least 1)."""
     a = np.maximum(1.0, np.abs(values))
     tol = np.maximum(TOL_CLUSTER * np.maximum(a[:-1], a[1:]), TOL_RESOLUTION * a.max())
-    return np.concatenate(([0], np.cumsum(~(np.diff(values) <= tol))))
+    return np.concatenate(([0], (~(values[1:] - values[:-1] <= tol)).cumsum()))
 
 
 def eigh(observable: HermitianObservable) -> EigenSystem:
@@ -200,7 +200,7 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
     d = matrix.shape[0]
     av = np.concatenate((matrix, np.eye(d, dtype=complex)))  # A over V: one column update
     a, v = av[:d], av[d:]
-    fro = float(np.linalg.norm(a))
+    fro = fro_norm(a)
     # The norms square the entries, which underflow for a tiny A: solve
     # 2^shift A, its largest part in [0.5, 1), and scale the eigenvalues back.
     # Multiplying by a power of two is exact.
@@ -209,7 +209,7 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
         parts = a.view(float)
         shift = -int(np.frexp(np.max(np.abs(parts)))[1])  # 0 for the zero matrix
         np.ldexp(parts, shift, out=parts)
-        fro = float(np.linalg.norm(a))
+        fro = fro_norm(a)
 
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
@@ -228,19 +228,20 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
                 f"off-diagonal norm {_offdiag_norm(a):.3e} vs target {target:.3e}"
             )
 
-    values = np.ldexp(np.diag(a).real, -shift)
+    values = np.ldexp(a.diagonal().real, -shift)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = v[:, order]
 
+    for k in range(d):
+        vectors[:, k] = phase_fix(vectors[:, k])
     cluster = _cluster_labels(values)
-    # Deterministic order inside a cluster: by largest-modulus component index,
+    # Deterministic order inside a cluster: by largest-modulus component index
+    # of the phase-fixed vectors (a phase can move a modulus tie by a rounding),
     # ties by position (lexsort is stable).  Eigenvalues stay in sorted order;
     # members of a cluster agree to within the cluster tolerance, so the
     # pairing is unaffected at that resolution.
     vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
-    for k in range(d):
-        vectors[:, k] = phase_fix(vectors[:, k])
     cluster_values = np.bincount(cluster, values) / np.bincount(cluster)
     for array in (values, vectors, cluster, cluster_values):
         array.setflags(write=False)

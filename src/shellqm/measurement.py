@@ -48,8 +48,8 @@ _require_numpy()
 
 from numpy._core.umath import _extobj_contextvar, _make_extobj  # noqa: E402
 
-from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, make_state,
-                   project_to_shell, require_dim, require_positive, require_positive_int)
+from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, fro_norm,
+                   make_state, project_to_shell, require_dim, require_positive, require_positive_int)
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
@@ -278,7 +278,7 @@ def constrained_min(
     total_iters = 0
     for restart in range(PG_RESTARTS):
         x = qh @ (rng.normal(size=d) + 1j * rng.normal(size=d))
-        norm = float(np.linalg.norm(x))
+        norm = fro_norm(x)
         if norm < TOL_START:
             continue
         x = x * (1.0 / norm)
@@ -317,7 +317,7 @@ def _normalized_cdf(probabilities: np.ndarray) -> np.ndarray:
     """CDF divided by its total.  On-shell probabilities sum to 1 only within
     the shell tolerance; divided, the last entry is exactly 1 > u for every
     draw u in [0, 1), so no draw lands on a zero-probability cluster."""
-    cdf = np.cumsum(probabilities)
+    cdf = probabilities.cumsum()
     return cdf / cdf[-1]
 
 
@@ -325,7 +325,7 @@ def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
     """Inverse-CDF cluster index of a uniform draw u in [0, 1), or of an array
     of draws: the one sampler behind `measure`, and the oracle of
     `outcome_counts`.  A draw equal to a CDF entry c[k] goes to cluster k + 1."""
-    return np.searchsorted(_normalized_cdf(probabilities), u, side="right")
+    return _normalized_cdf(probabilities).searchsorted(u, side="right")
 
 
 def outcome_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -361,7 +361,7 @@ def measure(
     k = int(outcome_index(dist.probabilities, rng.random()))
     vectors = es.eigenvectors[:, es.cluster == k]
     projected = vectors @ (vectors.conj().T @ state.components)
-    norm = float(np.linalg.norm(projected))
+    norm = fro_norm(projected)
     if norm < TOL_ZERO * np.sqrt(state.hbar):
         raise DegenerateProjectionUnderflowError(
             f"projection norm {norm:.3e} too small to collapse onto outcome {k}"

@@ -356,3 +356,46 @@ class TestThresholdTable:
                         assigned.setdefault(target.id, []).append(name)
         assert assigned == {threshold: ["core.py"] for threshold in self.TABLE}
         assert all(isinstance(getattr(shellqm.core, t), float) for t in self.TABLE)
+
+
+def norm_case(kind: str) -> np.ndarray:
+    """A seeded complex 6x6 array of Gaussian entries scaled to `kind`: "unit",
+    "subnormal" (about 1e-320), "huge" (1e154 to 1e308 by row, so the sum of
+    squares overflows) or with one NaN or one inf entry."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    if kind == "subnormal":
+        g *= 1e-320
+    elif kind == "huge":
+        g *= np.logspace(154, 307.5, 6)[:, None]
+    elif kind in ("nan", "inf"):
+        g[2, 3] = complex(float(kind), 1.0)
+    return g
+
+
+class TestFroNorm:
+    """`fro_norm` is `np.linalg.norm` of a complex array, bit for bit, on the
+    shapes its callers pass, and the package calls no `np.linalg.norm`."""
+
+    @pytest.mark.parametrize("kind", ["unit", "subnormal", "huge", "nan", "inf"])
+    @pytest.mark.parametrize("view", ["matrix", "row", "column", "top rows"])
+    def test_same_bits_as_np_linalg_norm(self, kind, view):
+        g = norm_case(kind)
+        # a C-contiguous matrix and vector, a strided column (`vectors[:, k]`), and
+        # the top of a stacked (2d, d) buffer (Jacobi's A over V)
+        x = {"matrix": g, "row": g[2].copy(), "column": g[:, 3],
+             "top rows": np.concatenate((g, np.eye(6)))[:6]}[view]
+        with np.errstate(over="ignore"):
+            got, want = shellqm.core.fro_norm(x), np.linalg.norm(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_package_does_not_call_np_linalg_norm(self):
+        calls = [(name, node.lineno)
+                 for name, tree in TestThresholdTable.modules().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "norm"
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                 or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                 and any(alias.name == "norm" for alias in node.names)]
+        assert calls == []

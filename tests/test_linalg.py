@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellqm.linalg
 from shellqm import (
     HermitianObservable,
+    StateVector,
     born_probabilities,
     check_hermitian,
     commutator,
@@ -110,9 +111,9 @@ def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.ldexp(np.diag(a).real, -shift)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], v[:, order]
+    vectors = np.column_stack([phase_fix(vectors[:, k]) for k in range(d)])
     cluster = _cluster_labels(values)
-    vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
-    return values, np.column_stack([phase_fix(vectors[:, k]) for k in range(d)])
+    return values, vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
 
 
 def assert_same_bits(matrix: np.ndarray) -> None:
@@ -317,9 +318,22 @@ class TestEigh:
             eigh(raw)
 
 
+def tied_moduli_case() -> tuple[HermitianObservable, StateVector]:
+    """diag(1e-323) beside the block [[2t, -t+ti], [-t-ti, 2t]], t = 5e-324,
+    and a state: one cluster of three subnormal eigenvalues whose vectors tie
+    in modulus until the phase fix rounds the ties apart (found by the
+    property below, which ordered the members before the phase fix)."""
+    t = 5e-324
+    matrix = np.zeros((3, 3), dtype=complex)
+    matrix[0, 0] = 1e-323
+    matrix[1:, 1:] = [[2 * t, -t + 1j * t], [-t - 1j * t, 2 * t]]
+    return HermitianObservable(matrix), make_state([0.6, 0.8j, 0.0], hbar=1.0)
+
+
 class TestClustersAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(degenerate_observable_and_state(), st.integers(0, 2**32))
+    @example(tied_moduli_case(), 0)
     def test_labels_probabilities_and_collapse(self, case, seed):
         obs, state = case
         es = eigh(obs)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core.umath import _extobj_contextvar
 
 import shellqm.measurement
 from shellqm import (
@@ -466,6 +467,23 @@ class TestLapackErrorStates:
         block = edge_block(kind, d, n, seed=d + n)
         assert under_outer_state(mode, complete_columns, block.copy()) == \
             under_outer_state(mode, public_columns, block, True)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("state, handler", [
+        (shellqm.measurement._QR_ERRSTATE, shellqm.measurement._raise_qr_error),
+        (shellqm.measurement._EIGH_ERRSTATE, shellqm.measurement._raise_eigh_error)])
+    def test_prebuilt_states_are_the_public_calls_states(self, mode, state, handler):
+        # every field, including over, divide and under, which no case above trips
+        with np.errstate(all=mode) if mode else contextlib.nullcontext():
+            with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                             under="ignore"):
+                want = np.geterr(), np.geterrcall()
+            token = _extobj_contextvar.set(state)
+            try:
+                got = np.geterr(), np.geterrcall()
+            finally:
+                _extobj_contextvar.reset(token)
+        assert got == want
 
     def test_the_nan_cases_raise_and_restore_the_callers_state(self):
         # the cases above include a raised LinAlgError under every mode
