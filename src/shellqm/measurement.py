@@ -250,13 +250,13 @@ def constrained_min(
     where rounding ends it.  The 3x3 problem is solved by numpy, so the
     minimizer does not depend on the eigensolver it checks, and hbar only
     scales the result.  The complete QR that gives q, the block's QR and the
-    3x3 eigh call numpy's LAPACK gufuncs directly, the ones `np.linalg.qr`
-    and `np.linalg.eigh` call, inside the same error states, built once at
-    import: the same bits, warnings and errors, without the wrappers' Python
-    overhead or a per-call `np.errstate`, which were most of a step at these
-    sizes.
-    Starts are drawn from the seed-keyed stream; a start still falling after
-    PG_MAX_ITER steps is restarted, and after the restart budget
+    3x3 eigh call the LAPACK gufuncs behind `np.linalg.qr` and `eigh` in their
+    error states, built once at import, and the products are `ndarray.dot`,
+    which skips `@`'s gufunc dispatch: the same bits, warnings and errors with
+    less per-call overhead, most of a step at these sizes.  `q @ x` and
+    `basis[:, 1:] @ y[1:]`, on column slices, keep `@`: `.dot` rounds them
+    differently.  Starts are drawn from the seed-keyed stream; a start still
+    falling after PG_MAX_ITER steps is restarted, and after the restart budget
     NoConvergenceError reports the best form value found.
     """
     d = obs.dimension
@@ -268,7 +268,7 @@ def constrained_min(
     # sub.basis may be a read-only view of a solved spectrum, hence the copy
     q = _orthonormal_columns(sub.basis.copy(), complete=True)[:, sub.level - 1:]
     qh = q.conj().T
-    b = qh @ obs.matrix @ q
+    b = qh.dot(obs.matrix).dot(q)
 
     def rayleigh(x, bx):
         return float(np.vdot(x, bx).real) / float(np.vdot(x, x).real)
@@ -277,12 +277,12 @@ def constrained_min(
     best = np.inf
     total_iters = 0
     for restart in range(PG_RESTARTS):
-        x = qh @ (rng.normal(size=d) + 1j * rng.normal(size=d))
+        x = qh.dot(rng.normal(size=d) + 1j * rng.normal(size=d))
         norm = fro_norm(x)
         if norm < TOL_START:
             continue
         x = x * (1.0 / norm)
-        bx = b @ x
+        bx = b.dot(x)
         value = rayleigh(x, bx)
         previous = []  # the last step's direction, from the second step on
         for _ in range(PG_MAX_ITER):
@@ -291,9 +291,9 @@ def constrained_min(
             # span{x, r}: the spare column is then a unit vector orthogonal to
             # both, and the Ritz value still cannot rise
             basis = _orthonormal_columns(np.array([x, bx - value * x, *previous]).T)
-            y = _lowest_eigenvector(basis.conj().T @ b @ basis)
-            step = basis @ y
-            b_step = b @ step
+            y = _lowest_eigenvector(basis.conj().T.dot(b).dot(basis))
+            step = basis.dot(y)
+            b_step = b.dot(step)
             step_value = rayleigh(step, b_step)
             if not step_value < value:
                 return ConstrainedMin(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,47 @@ class TestRngStreams:
         longest = np.concatenate(list(trial_chunks(5, 2 * TRIAL_CHUNK + 3)))
         for n in (10, TRIAL_CHUNK + 1):
             assert np.array_equal(np.concatenate(list(trial_chunks(5, n))), longest[:n])
+
+    @staticmethod
+    def draws(g: np.random.Generator) -> list[bytes]:
+        """The bits of a run of mixed draws from one generator, small integer
+        ranges included (those consume half words)."""
+        return [np.asarray(x).tobytes() for x in (
+            g.random(1000), g.normal(size=1000), g.integers(0, 10, size=7),
+            g.integers(-2**62, 2**62, size=1000), g.random(), g.normal(), g.integers(3))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 2**64 + 3, 2**127 - 1, 2**128 + 5,
+                                      -5, 10**30])
+    def test_streams_are_philox_keyed_by_the_seed(self, seed):
+        def keyed():
+            return np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
+
+        assert self.draws(master_rng(seed)) == self.draws(keyed())
+        n = TRIAL_CHUNK + 5
+        chunks = np.concatenate(list(trial_chunks(seed, n)))
+        assert chunks.tobytes() == keyed().random(n).tobytes()
+
+    def test_seeding_reads_no_entropy(self):
+        first, second = (master_rng(12345).bit_generator for _ in range(2))
+        assert repr(first.state) == repr(second.state)
+        # Philox(key=...) seeds itself from a fresh SeedSequence() of OS
+        # entropy before the key replaces its state
+        for bit_generator in (first, second):
+            assert isinstance(bit_generator.seed_seq, np.random.bit_generator.ISeedSequence)
+            assert not isinstance(bit_generator.seed_seq, np.random.SeedSequence)
+        with pytest.raises(ValueError):
+            first.seed_seq.generate_state(4)
+
+    def test_import_does_not_load_numpy_random(self):
+        # most CLI commands draw nothing, and numpy.random takes about 13 ms
+        # of a fresh process to import
+        src = str(Path(shellqm.experiments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import sys, shellqm.cli; print('numpy.random' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 class TestRunTrials:

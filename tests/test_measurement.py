@@ -28,6 +28,7 @@ from shellqm import (
     states_equal,
     unitary_propagator,
 )
+from shellqm.core import TOL_START, fro_norm
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
 from shellqm.measurement import (NUMPY_PRIVATE, PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
@@ -404,6 +405,78 @@ class TestLapackHelpers:
         monkeypatch.setattr(shellqm.measurement, "_orthonormal_columns", public_columns)
         monkeypatch.setattr(shellqm.measurement, "_lowest_eigenvector", public_lowest)
         assert levels() == fast
+
+
+def matmul_min(obs, sub, seed):
+    """`constrained_min`'s loop at hbar = 1 with `@` at every product, on the
+    same LAPACK helpers and starts: the oracle for its `.dot` products.
+    Returns the eigenvalue bits, iterations, restarts and argmin bits."""
+    d = obs.dimension
+    q = _orthonormal_columns(sub.basis.copy(), complete=True)[:, sub.level - 1:]
+    qh = q.conj().T
+    b = qh @ obs.matrix @ q
+
+    def rayleigh(x, bx):
+        return float(np.vdot(x, bx).real) / float(np.vdot(x, x).real)
+
+    rng = master_rng(seed)
+    total_iters = 0
+    for restart in range(PG_RESTARTS):
+        x = qh @ (rng.normal(size=d) + 1j * rng.normal(size=d))
+        norm = fro_norm(x)
+        if norm < TOL_START:
+            continue
+        x = x * (1.0 / norm)
+        bx = b @ x
+        value = rayleigh(x, bx)
+        previous = []
+        for _ in range(PG_MAX_ITER):
+            total_iters += 1
+            basis = _orthonormal_columns(np.array([x, bx - value * x, *previous]).T)
+            y = _lowest_eigenvector(basis.conj().T @ b @ basis)
+            step = basis @ y
+            b_step = b @ step
+            step_value = rayleigh(step, b_step)
+            if not step_value < value:
+                argmin = make_state(q @ x, 1.0)
+                return bits(value), total_iters, restart, bits(argmin.components)
+            previous = [basis[:, 1:] @ y[1:]]
+            x, bx, value = step, b_step, step_value
+    raise AssertionError("oracle did not converge")
+
+
+@st.composite
+def minimizer_observables(draw):
+    """A d x d observable, d = 1..16: complex with a random spectrum, real
+    symmetric, or complex with a spectrum in {-2, ..., 2} (degenerate levels);
+    scaled by 1, 1e-150 or 1e150."""
+    d = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["complex", "real", "degenerate"]))
+    rng = master_rng(draw(st.integers(0, 2**32)))
+    if kind == "real":
+        g = rng.normal(size=(d, d))
+        m = (g + g.T).astype(complex)
+    else:
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        values = rng.integers(-2, 3, size=d) if kind == "degenerate" else rng.normal(size=d)
+        m = (u * values) @ u.conj().T
+        m = 0.5 * (m + m.conj().T)
+    return HermitianObservable(draw(st.sampled_from([1.0, 1e-150, 1e150])) * m)
+
+
+class TestProducts:
+    """`constrained_min` forms its products with `ndarray.dot` where that gives
+    `@`'s bits, and keeps `@` at the two sites where it does not."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(minimizer_observables(), st.integers(0, 2**31 - 1))
+    def test_every_level_matches_the_matmul_loop(self, obs, seed):
+        vectors = np.linalg.eigh(obs.matrix)[1]
+        for n in range(1, obs.dimension + 1):
+            sub = AdmissibleSubspace(level=n, basis=vectors[:, : n - 1])
+            r = constrained_min(obs, sub, seed=seed + n)
+            got = bits(r.eigenvalue), r.iterations, r.restarts, bits(r.argmin.components)
+            assert got == matmul_min(obs, sub, seed + n)
 
 
 def edge_block(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
