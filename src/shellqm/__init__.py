@@ -11,7 +11,6 @@ from .core import (
     PhaseSpacePoint,
     StateVector,
     canonical_phase,
-    check_hermitian,
     config_observable,
     make_state,
     project_to_shell,
@@ -25,7 +24,6 @@ from .experiments import (
     courant_fischer_suite,
     run_trials,
     verification_suite,
-    verify_mean_value,
 )
 from .linalg import EigenSystem, commutator, eigh, unitary_propagator
 from .measurement import (
@@ -66,7 +64,6 @@ __all__ = [
     "VerificationReport",
     "born_probabilities",
     "canonical_phase",
-    "check_hermitian",
     "chi_square",
     "commutator",
     "config_observable",
@@ -92,5 +89,4 @@ __all__ = [
     "to_real",
     "unitary_propagator",
     "verification_suite",
-    "verify_mean_value",
 ]

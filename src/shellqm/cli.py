@@ -155,6 +155,8 @@ def _parse_tol(pairs: list[str]) -> dict:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
+        if name in out:
+            raise ValueError(f"--tol {name} is given more than once")
         out[name] = float(value)
     return out
 
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="directory for emitted files (default: stdout)")
     parser.add_argument("--format", choices=("csv", "structured"), default="csv")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                        help="tolerance override, repeatable")
+                        help="tolerance override, each NAME at most once")
     parser.add_argument("--time", type=float, default=2.0 * np.pi,
                         help="flow parameter span for evolve")
     parser.add_argument("--samples", type=int, default=50,

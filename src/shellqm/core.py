@@ -137,7 +137,7 @@ class StateVector:
         return self.components.shape[0]
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.components) ** 2))
+        return _squared_norm(self.components)
 
 
 def fro_norm(x: np.ndarray) -> float:
@@ -155,11 +155,6 @@ def _hermitian_residual(matrix) -> float:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
         return float(np.abs(m - m.conj().T).max(initial=0.0))
-
-
-def check_hermitian(matrix) -> bool:
-    """True iff max |M_nm - conj(M_mn)| <= TOL_HERM; the package's one Hermiticity test."""
-    return _hermitian_residual(matrix) <= TOL_HERM
 
 
 def hermitian_part(matrix, tol: float = TOL_HERM) -> np.ndarray:

@@ -17,9 +17,9 @@ class DimensionMismatchError(ShellQMError):
 class OffShellError(ShellQMError):
     """A vector does not satisfy the shell norm constraint."""
 
-    def __init__(self, residual: float, message: str | None = None):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(message or f"vector is off shell (norm residual {residual:.3e})")
+        super().__init__(f"vector is off shell (norm residual {residual:.3e})")
 
 
 class ZeroVectorError(ShellQMError):

@@ -20,7 +20,7 @@ from .linalg import eigh
 from .measurement import (AdmissibleSubspace, _normalized_cdf, born_probabilities, constrained_min,
                           outcome_counts)
 from .phasespace import evaluate_observable
-from .rng import RNG_ID, master_rng, trial_chunks
+from .rng import master_rng, trial_chunks
 
 MAX_TRIALS = 10**8  # bounds time only (1 to 2 s at d = 2 to 64); run_trials holds one chunk of draws
 
@@ -82,7 +82,6 @@ class FrequencyTable:
     frequencies: np.ndarray   # counts / trials, exact
     reference: np.ndarray     # Born probabilities
     seed: int
-    rng_id: str = RNG_ID
 
 
 @dataclass(frozen=True)
@@ -177,22 +176,15 @@ def chi_square(table: FrequencyTable) -> VerificationReport:
     )
 
 
-def verify_mean_value(
-    obs: HermitianObservable, state: StateVector, trials: int, seed: int
+def _mean_report(
+    obs: HermitianObservable, state: StateVector, table: FrequencyTable
 ) -> VerificationReport:
-    """Empirical mean of sampled outcomes against the observable's value
+    """Empirical mean of the table's outcomes against the observable's value
     divided by hbar; passes within four standard errors.
 
     A rounding guard of TOL_MEAN_GUARD * max(1, |expected|) keeps the zero-variance
     case (single-outcome distribution) from failing on accumulation error.
     """
-    return _mean_report(obs, state, run_trials(obs, state, trials, seed))
-
-
-def _mean_report(
-    obs: HermitianObservable, state: StateVector, table: FrequencyTable
-) -> VerificationReport:
-    """The mean-proportionality check of `verify_mean_value` on a drawn table."""
     trials = table.trials
     if trials < 100:
         raise InvalidArgumentError(f"the mean check needs at least 100 trials, got {trials}")
@@ -252,10 +244,12 @@ def courant_fischer_suite(
 ) -> list[VerificationReport]:
     """One report per random Hermitian matrix: constrained minimization must
     reproduce every eigenvalue.  Failures are reported, not thrown."""
+    dims = list(dims)
     if not dims:
-        raise ValueError("dims must be a nonempty list of positive integers")
+        raise InvalidArgumentError("dims must be a nonempty list of positive integers")
     for d in dims:
         require_positive_int(d, "dimension")
+    require_positive_int(per_dim, "per_dim")
     rng = master_rng(seed)
     reports = []
     for d in dims:

@@ -52,11 +52,6 @@ class EigenSystem:
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of a_n |a_n><a_n| over the spectrum."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
     """One sweep for dimension d >= 2 as two (rounds, pairs) index arrays P, Q:

@@ -88,12 +88,6 @@ def evaluate_general(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:
     return float(gen.constant + linear + hermitian + anomalous)
 
 
-def grad_conj(obs: HermitianObservable, psi: np.ndarray) -> np.ndarray:
-    """Wirtinger derivative of the Hermitian form with respect to conj(psi_n):
-    (A psi)_n.  The derivative with respect to psi_n is its conjugate."""
-    return obs.matrix @ np.asarray(psi, dtype=complex)
-
-
 def poisson_bracket(
     a: HermitianObservable, b: HermitianObservable, state: StateVector
 ) -> BracketValue:

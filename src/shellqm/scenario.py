@@ -92,9 +92,6 @@ class Scenario:
             doc["tolerances"] = dict(self.tolerances)
         return doc
 
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _field(doc: dict, name: str, kind, required: bool = True, default=None):
     if name not in doc:

@@ -170,7 +170,7 @@ class TestParseScenario:
 
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))
-        again = parse_scenario(scenario.serialize())
+        again = parse_scenario(json.dumps(scenario.to_dict()))
         assert again.to_dict() == scenario.to_dict()
         assert np.array_equal(again.observable_re, scenario.observable_re)
         assert np.array_equal(again.state_im, scenario.state_im)
@@ -311,11 +311,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("text, extra, kind, message", [
         (scenario_text(), ["--tol", "shell"], "ArgumentError", "--tol expects NAME=VALUE"),
+        (scenario_text(), ["--tol", "shell=1e-3", "--tol", "shell=1e-12"], "ArgumentError",
+         "--tol shell is given more than once"),
         (scenario_text(tolerances=5), [], "ScenarioParseError", "must be an object"),
         (scenario_text(observable={"im": [[0, 0], [0, 0]]}), [], "ScenarioParseError",
          "needs 're' array"),
         ("[1, 2]", [], "ScenarioParseError", "must be a JSON object"),
-    ], ids=["tol-without-value", "tolerances-not-object", "observable-without-re",
+    ], ids=["tol-without-value", "tol-repeated", "tolerances-not-object", "observable-without-re",
             "document-not-object"])
     def test_input_error_is_one_json_line(self, tmp_path, capsys, text, extra, kind, message):
         path = tmp_path / "scenario.json"

@@ -12,7 +12,6 @@ from shellqm import (
     OscillatorParams,
     PhaseSpacePoint,
     canonical_phase,
-    check_hermitian,
     config_observable,
     eigh,
     make_state,
@@ -27,7 +26,7 @@ from shellqm.errors import (
     ZeroVectorError,
 )
 
-from conftest import random_state
+from conftest import check_hermitian, random_state
 
 
 class TestOscillatorParams:
@@ -399,3 +398,15 @@ class TestFroNorm:
                  or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
                  and any(alias.name == "norm" for alias in node.names)]
         assert calls == []
+
+
+class TestPublicNames:
+    def test_all_is_unique_and_resolves(self):
+        assert len(set(shellqm.__all__)) == len(shellqm.__all__)
+        missing = [name for name in shellqm.__all__ if not hasattr(shellqm, name)]
+        assert missing == []
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from shellqm import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(shellqm.__all__)

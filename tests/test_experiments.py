@@ -22,7 +22,6 @@ from shellqm import (
     measure,
     run_trials,
     verification_suite,
-    verify_mean_value,
 )
 from shellqm.core import TOL_CF, TOL_NORM_DRIFT
 from shellqm.errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
@@ -30,6 +29,7 @@ from shellqm.experiments import (
     CHI2_999,
     MAX_TRIALS,
     FrequencyTable,
+    _mean_report,
     chi2_threshold_999,
     courant_fischer_report,
 )
@@ -133,7 +133,7 @@ class TestRunTrials:
         a = run_trials(obs, state, 5000, seed=11)
         b = run_trials(obs, state, 5000, seed=11)
         assert np.array_equal(a.counts, b.counts)
-        assert a.seed == b.seed and a.rng_id == b.rng_id
+        assert a.seed == b.seed
 
     def test_matches_explicit_measure_loop(self, rng):
         # trial i consumes draw i of the seed-keyed stream, so a sequential
@@ -318,18 +318,18 @@ class TestChiSquare:
             assert approx == pytest.approx(exact, rel=5e-3)
 
 
-class TestVerifyMeanValue:
+class TestMeanReport:
     def test_eigenstate_exact(self, rng):
         obs = random_hermitian(3, rng)
         es = eigh(obs)
         s = make_state(es.eigenvectors[:, 2], hbar=1.0)
-        report = verify_mean_value(obs, s, trials=100, seed=0)
+        report = _mean_report(obs, s, run_trials(obs, s, 100, 0))
         assert report.passed
         assert report.statistic <= 1e-10
 
     def test_equal_weight_within_four_sigma(self):
         obs, state = equal_weight_scenario()
-        report = verify_mean_value(obs, state, trials=10**5, seed=42)
+        report = _mean_report(obs, state, run_trials(obs, state, 10**5, 42))
         assert report.passed
         # outcome sd is 0.5 for values (1,2) at p=(1/2,1/2)
         assert report.threshold == pytest.approx(4 * 0.5 / np.sqrt(10**5), rel=0.05)
@@ -337,13 +337,13 @@ class TestVerifyMeanValue:
     def test_single_outcome_distribution(self):
         obs = HermitianObservable(np.eye(2, dtype=complex))
         s = make_state([1, 0], hbar=1.0)
-        report = verify_mean_value(obs, s, trials=100, seed=5)
+        report = _mean_report(obs, s, run_trials(obs, s, 100, 5))
         assert report.passed
 
     def test_requires_hundred_trials(self):
         obs, state = equal_weight_scenario()
         with pytest.raises(ValueError):
-            verify_mean_value(obs, state, trials=99, seed=0)
+            _mean_report(obs, state, run_trials(obs, state, 99, 0))
 
 
 class TestVerificationSuite:
@@ -359,7 +359,7 @@ class TestVerificationSuite:
         monkeypatch.setattr(shellqm.experiments, "run_trials", counting)
         reports = verification_suite(obs, state, trials=5000, seed=11)
         assert len(tables) == 1
-        assert reports[0] == verify_mean_value(obs, state, trials=5000, seed=11)
+        assert reports[0] == _mean_report(obs, state, run_trials(obs, state, 5000, 11))
         assert reports[1] == chi_square(tables[0])
         # each report prints the threshold it tested (Courant-Fischer also fails on
         # NoConvergenceError: test_exhausted_budget_fails_with_the_best_value)
@@ -400,6 +400,19 @@ class TestCourantFischer:
         reports = courant_fischer_suite([2, 3], per_dim=3, seed=8)
         assert len(reports) == 6
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("dims, per_dim, name", [
+        ([2], 1.5, "per_dim"), ([2], 0, "per_dim"), ([2], -1, "per_dim"), ([2], True, "per_dim"),
+        ([], 1, "dims"), (iter([]), 1, "dims"),
+    ])
+    def test_refuses_what_is_not_a_positive_integer(self, dims, per_dim, name):
+        with pytest.raises(InvalidArgumentError, match=name):
+            courant_fischer_suite(dims, per_dim=per_dim, seed=0)
+
+    def test_dims_may_be_an_iterator(self):
+        reports = courant_fischer_suite(iter([2, 3]), per_dim=1, seed=8)
+        assert reports == courant_fischer_suite([2, 3], per_dim=1, seed=8)
+        assert [r.digest["dimension"] for r in reports] == [2, 3]
 
     @pytest.mark.parametrize("levels", [(0.0, 1.0, 1e9), (0.0, 1.0, 1e9, 2e9)])
     @pytest.mark.parametrize("rotation_seed", [1, 2, 3])

@@ -18,9 +18,14 @@ from shellqm import (
     to_real,
 )
 from shellqm.errors import DimensionMismatchError, NotVanishingAtRestError
-from shellqm.phasespace import grad_conj
 
 from conftest import SIGMA_X, SIGMA_Y, random_hermitian, random_state
+
+
+def grad_conj(obs: HermitianObservable, psi: np.ndarray) -> np.ndarray:
+    """Wirtinger derivative of the Hermitian form with respect to conj(psi_n):
+    (A psi)_n.  The derivative with respect to psi_n is its conjugate."""
+    return obs.matrix @ np.asarray(psi, dtype=complex)
 
 
 def quadratic_only(matrix: np.ndarray) -> GeneralQuadraticObservable:
