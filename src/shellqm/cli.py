@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help="tolerance override, each NAME at most once")
     parser.add_argument("--time", type=float, default=2.0 * np.pi,
-                        help="flow parameter span for evolve")
+                        help="flow parameter span for evolve; a negative value with an "
+                             "exponent is written --time=-1e308")
     parser.add_argument("--samples", type=int, default=50,
                         help="number of sample intervals for evolve")
     return parser

@@ -244,9 +244,13 @@ def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
 
     Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar, InvalidArgumentError
     on a non-finite component, an overflowing sum or an hbar that is not positive and
-    finite, and DimensionMismatchError on empty input.  Components are stored unchanged.
+    finite, and DimensionMismatchError on empty input.  Components are stored unchanged
+    and read-only: an array of their own is kept and locked, and a view is copied first,
+    since locking it would leave its base writable.
     """
     psi = np.array(components, dtype=complex, copy=None, ndmin=1)
+    if psi.base is not None:
+        psi = psi.copy()
     if psi.ndim != 1 or psi.shape[0] == 0:
         raise DimensionMismatchError("state components must be a nonempty 1-d vector")
     require_positive(hbar, "hbar")

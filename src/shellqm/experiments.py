@@ -17,8 +17,7 @@ from .core import (POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT, He
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
-from .measurement import (AdmissibleSubspace, _normalized_cdf, born_probabilities, constrained_min,
-                          outcome_counts)
+from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_counts
 from .phasespace import evaluate_observable
 from .rng import master_rng, trial_chunks
 
@@ -103,7 +102,7 @@ def run_trials(
 
     Trial i consumes draw i of the seed-keyed stream.  The draws come in
     fixed chunks (`rng.trial_chunks`); `outcome_counts` sorts each chunk in
-    place and counts it against the normalized CDF, computed once per run.
+    place and counts it against the distribution's normalized `cdf`.
     Those counts are the bincount of `outcome_index`, the sampler `measure`
     uses on its one draw, so the table is reproducible byte for byte and a
     loop of measure() calls over `master_rng(seed)` tallies the same counts.
@@ -113,10 +112,9 @@ def run_trials(
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidArgumentError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dist = born_probabilities(obs, state)
-    cdf = _normalized_cdf(dist.probabilities)
-    counts = np.zeros(len(cdf), dtype=np.int64)
+    counts = np.zeros(len(dist.cdf), dtype=np.int64)
     for u in trial_chunks(seed, trials):
-        counts += outcome_counts(cdf, u)
+        counts += outcome_counts(dist.cdf, u)
         del u  # otherwise the loop variable holds this chunk while the next is drawn
     return FrequencyTable(
         trials=trials,

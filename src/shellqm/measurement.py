@@ -11,6 +11,7 @@ probabilities p_n = |<a_n|psi>|^2 / hbar.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass
 
@@ -122,6 +123,14 @@ class ProbabilityDistribution:
         if self.values.shape != self.probabilities.shape:
             raise DimensionMismatchError("values and probabilities differ in length")
 
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The normalized CDF of `probabilities` that `outcome_index` samples
+        from, computed on first use and kept, read-only."""
+        cdf = _normalized_cdf(self.probabilities)
+        cdf.setflags(write=False)
+        return cdf
+
     @property
     def outcomes(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.probabilities.tolist()))
@@ -156,16 +165,27 @@ def born_probabilities(
     obs: HermitianObservable, state: StateVector, system: EigenSystem | None = None
 ) -> ProbabilityDistribution:
     """Outcome distribution p = |<a_n|psi>|^2 / hbar, summed over each
-    degeneracy cluster.
+    degeneracy cluster; both of its arrays are read-only.
 
     `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
-    a decomposition obtained some other way.
+    a decomposition obtained some other way.  The distribution is memoized
+    on the state, whose components are read-only (`make_state`), keyed on
+    the observable instance and the decomposition, as `eigh` memoizes on
+    the observable: a later call on the same three returns the same
+    distribution, with its CDF, so `mean_value` and `measure` on one state
+    reuse it.
     """
     require_dim(state.dimension, obs.dimension, "state")
     es = eigh(obs) if system is None else system
-    amplitudes = es.eigenvectors.conj().T @ state.components
-    weights = np.abs(amplitudes) ** 2 / state.hbar
-    return ProbabilityDistribution(es.cluster_values, np.bincount(es.cluster, weights))
+    memo = state.__dict__.get("_born")
+    if memo is None or memo[0] is not obs or memo[1] is not es:
+        amplitudes = es.eigenvectors.conj().T @ state.components
+        weights = np.abs(amplitudes) ** 2 / state.hbar
+        probabilities = np.bincount(es.cluster, weights)
+        probabilities.setflags(write=False)
+        memo = (obs, es, ProbabilityDistribution(es.cluster_values, probabilities))
+        object.__setattr__(state, "_born", memo)
+    return memo[2]
 
 
 def mean_value(obs: HermitianObservable, state: StateVector) -> float:
@@ -321,11 +341,13 @@ def _normalized_cdf(probabilities: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def outcome_index(probabilities: np.ndarray, u: float | np.ndarray):
+def outcome_index(cdf: np.ndarray, u: float | np.ndarray):
     """Inverse-CDF cluster index of a uniform draw u in [0, 1), or of an array
-    of draws: the one sampler behind `measure`, and the oracle of
-    `outcome_counts`.  A draw equal to a CDF entry c[k] goes to cluster k + 1."""
-    return _normalized_cdf(probabilities).searchsorted(u, side="right")
+    of draws, against a normalized CDF (`_normalized_cdf`, kept on a
+    distribution as its `cdf`): the one sampler behind `measure`, and the
+    oracle of `outcome_counts`.  A draw equal to a CDF entry c[k] goes to
+    cluster k + 1."""
+    return cdf.searchsorted(u, side="right")
 
 
 def outcome_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -351,14 +373,15 @@ def measure(
     The post state is the shell-normalized projection of the input onto the
     outcome's eigenspace (cluster eigenspace for degenerate outcomes), so an
     immediate repeat measurement returns the same outcome with probability 1.
-    Maps exactly one draw from `rng` through `outcome_index`.  `run_trials`
-    tallies its draws with `outcome_counts`, whose counts are that sampler's
-    bincount, so a loop of measure() calls over `master_rng(seed)` tallies
-    exactly what `run_trials(..., seed)` does.
+    Maps exactly one draw from `rng` through `outcome_index`, on the
+    distribution's kept `cdf`.  `run_trials` tallies its draws with
+    `outcome_counts`, whose counts are that sampler's bincount, so a loop of
+    measure() calls over `master_rng(seed)` tallies exactly what
+    `run_trials(..., seed)` does.
     """
     es = eigh(obs) if system is None else system
     dist = born_probabilities(obs, state, system=es)
-    k = int(outcome_index(dist.probabilities, rng.random()))
+    k = int(outcome_index(dist.cdf, rng.random()))
     vectors = es.eigenvectors[:, es.cluster == k]
     projected = vectors @ (vectors.conj().T @ state.components)
     norm = fro_norm(projected)

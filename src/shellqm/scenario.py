@@ -132,7 +132,7 @@ def _complex_parts(doc: dict, name: str, shape: tuple) -> tuple[np.ndarray, np.n
         raise ScenarioParseError(
             f"field {name!r} must have shape {shape}, got re {re.shape} / im {im.shape}"
         )
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ScenarioParseError(f"field {name!r} contains non-finite entries")
     return re, im
 
@@ -155,6 +155,8 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as exc:  # malformed JSON or UTF-8, or an integer past the digit limit
         raise ScenarioParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise ScenarioParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 

@@ -317,8 +317,9 @@ class TestDispatch:
         (scenario_text(observable={"im": [[0, 0], [0, 0]]}), [], "ScenarioParseError",
          "needs 're' array"),
         ("[1, 2]", [], "ScenarioParseError", "must be a JSON object"),
+        ("[" * 100000 + "]" * 100000, [], "ScenarioParseError", "invalid JSON: nested too deeply"),
     ], ids=["tol-without-value", "tol-repeated", "tolerances-not-object", "observable-without-re",
-            "document-not-object"])
+            "document-not-object", "nested-too-deeply"])
     def test_input_error_is_one_json_line(self, tmp_path, capsys, text, extra, kind, message):
         path = tmp_path / "scenario.json"
         path.write_text(text)

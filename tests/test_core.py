@@ -92,6 +92,14 @@ class TestMakeState:
         s = make_state(comp, hbar=1.0)
         assert np.array_equal(s.components, comp)
 
+    def test_writes_through_a_viewed_buffer_do_not_reach_the_state(self):
+        buf = np.array([0.6, 0.8j, 5.0])
+        s = make_state(buf[:2], hbar=1.0)
+        buf[:2] = [1.0, 0.0]
+        assert s.components.tolist() == [0.6, 0.8j]
+        with pytest.raises(ValueError):
+            s.components[0] = 1.0
+
 
 class TestProjectToShell:
     def test_pure_rescale(self):

@@ -33,7 +33,7 @@ from shellqm.experiments import (
     chi2_threshold_999,
     courant_fischer_report,
 )
-from shellqm.measurement import outcome_index
+from shellqm.measurement import _normalized_cdf, outcome_index
 from shellqm.rng import TRIAL_CHUNK, master_rng, trial_chunks
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -177,7 +177,8 @@ class TestRunTrials:
         obs = random_hermitian(5, rng)
         s = random_state(5, rng)
         table = run_trials(obs, s, trials, seed=23)
-        ref = np.bincount(outcome_index(table.reference, master_rng(23).random(trials)),
+        draws = master_rng(23).random(trials)
+        ref = np.bincount(outcome_index(_normalized_cdf(table.reference), draws),
                           minlength=len(table.reference))
         assert table.counts.dtype == np.int64
         assert np.array_equal(table.counts, ref)

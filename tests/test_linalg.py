@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellqm.linalg
+import shellqm.measurement
 from shellqm import (
     HermitianObservable,
     StateVector,
@@ -19,7 +20,7 @@ from shellqm import (
     unitary_propagator,
 )
 from shellqm.core import JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, phase_fix
-from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _round_indices, _round_robin, _sweep
+from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _rotate_round, _round_robin, _sweep
 from shellqm.rng import master_rng
 from shellqm.errors import NoConvergenceError, NotSquareError
 
@@ -51,13 +52,14 @@ def cluster_indices(values: np.ndarray) -> list[list[int]]:
 
 def rotate_round_apart(a, v, p, q, skip):
     """One round-robin round with A's columns, A's rows and V's columns
-    updated one after another: the oracle for the fused update of A and V."""
+    updated one after another: the oracle for the fused update of A and V.
+    Returns the number of pairs rotated."""
     b = a[p, q]
     absb = np.abs(b)
     keep = absb > skip
     if not keep.all():
         if not keep.any():
-            return
+            return 0
         p, q, b, absb = p[keep], q[keep], b[keep], absb[keep]
     w = b / absb
     theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
@@ -76,6 +78,7 @@ def rotate_round_apart(a, v, p, q, skip):
     a[pq, qp] = 0.0
     a[pq, pq] = a[pq, pq].real
     v[:, pq] = cc * v[:, pq] + col_mix * v[:, qp]
+    return p.shape[0]
 
 
 def round_robin_lists(d: int) -> list[list[tuple[int, int]]]:
@@ -91,11 +94,33 @@ def round_robin_lists(d: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sweep_plan_lists(d: int) -> list[tuple]:
+    """Each round of `round_robin_lists(d)` as the tuple `_sweep(d)` keeps,
+    entry by entry in Python lists: the oracle for `_sweep`."""
+    plans = []
+    for pairs in round_robin_lists(d):
+        k = len(pairs)
+        ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+        partner = list(range(d))
+        for p, q in pairs:
+            partner[p], partner[q] = q, p
+        [idle] = [i for i in range(d) if i not in ps + qs] or [None]
+        at = [d * p + q for p, q in pairs] + [(d + 1) * i for i in ps + qs]
+        off = [2 * (d * i + j) for i, j in zip(ps + qs, qs + ps)]
+        zeroed = [off[:k], off[k:], [x + 1 for x in off[:k]], [x + 1 for x in off[k:]],
+                  [2 * (d + 1) * p + 1 for p in ps], [2 * (d + 1) * q + 1 for q in qs]]
+        slot = [(ps + qs).index(i) if i in ps + qs else 2 * k for i in range(d)]
+        slots = [[x + (2 * k + 1) * row for x in slot] for row in range(3)]
+        plans.append((tuple(pairs), partner, idle, at, zeroed, slots))
+    return plans
+
+
+def jacobi_eigh_apart(matrix: np.ndarray) -> tuple:
     """The whole solve over the list-built schedule, with each round's A and
     V updates made apart by `rotate_round_apart` and the off-diagonal norm of
     A - diag(A), after the same power-of-two prescale of a tiny A: the oracle
-    for `_jacobi_eigh`'s eigenvalues and eigenvectors, bit for bit."""
+    for `_jacobi_eigh`'s eigenvalues and eigenvectors, bit for bit, and for
+    its counts of sweeps and of pairs rotated."""
     d = matrix.shape[0]
     a, v = np.array(matrix, dtype=complex), np.eye(d, dtype=complex)
     fro = float(np.linalg.norm(a))
@@ -104,6 +129,7 @@ def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift = -int(np.frexp(np.max(np.abs(a.view(float))))[1])
         a = np.ldexp(a.view(float), shift).view(complex)
         fro = float(np.linalg.norm(a))
+    sweeps = rotations = 0
     if d > 1 and fro > 0.0:
         target = JACOBI_REL_TOL * fro
         rounds = [tuple(np.array(side, dtype=np.intp) for side in zip(*pairs))
@@ -111,23 +137,43 @@ def jacobi_eigh_apart(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(JACOBI_SWEEPS):
             if np.linalg.norm(a - np.diag(np.diag(a))) <= target:
                 break
+            sweeps += 1
             for p, q in rounds:
-                rotate_round_apart(a, v, p, q, target / d)
+                rotations += rotate_round_apart(a, v, p, q, target / d)
     values = np.ldexp(np.diag(a).real, -shift)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], v[:, order]
     vectors = np.column_stack([phase_fix(vectors[:, k]) for k in range(d)])
     cluster = _cluster_labels(values)
-    return values, vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
+    vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
+    return values, vectors, sweeps, rotations
 
 
 def assert_same_bits(matrix: np.ndarray) -> None:
     """`_jacobi_eigh` and `jacobi_eigh_apart` agree bit for bit, signed zeros
-    included."""
+    included, and on the counts of sweeps and rotations."""
     es = shellqm.linalg._jacobi_eigh(matrix)
-    for got, want in zip((es.eigenvalues, es.eigenvectors), jacobi_eigh_apart(matrix)):
-        assert np.array_equal(np.ascontiguousarray(got).view(float),
-                              np.ascontiguousarray(want).view(float))
+    values, vectors, sweeps, rotations = jacobi_eigh_apart(matrix)
+    for got, want in zip((es.eigenvalues, es.eigenvectors), (values, vectors)):
+        assert bits(got) == bits(want)
+    assert (es.sweeps, es.rotations) == (sweeps, rotations)
+
+
+def bits(array: np.ndarray) -> bytes:
+    """The bytes of an array: equal only when every entry is, -0.0 against 0.0
+    included, which `np.array_equal` does not tell apart."""
+    return np.ascontiguousarray(array).tobytes()
+
+
+def decoupled_signed_zero(d: int) -> np.ndarray:
+    """diag(-0.0 - 0.0j, 1, 2, ...) with indices 1 and 2 coupled: index 0 is
+    never rotated, so its -0.0 eigenvalue survives only if its column and
+    row come back unchanged from the rounds that leave it idle (d = 3) or
+    skip its pairs (d = 5, 6)."""
+    matrix = np.diag(np.arange(d).astype(complex))
+    matrix[0, 0] = complex(-0.0, -0.0)
+    matrix[1, 2], matrix[2, 1] = 0.5 + 0.25j, 0.5 - 0.25j
+    return HermitianObservable(matrix).matrix
 
 
 @st.composite
@@ -403,22 +449,42 @@ class TestEighCache:
         assert eigh(obs).eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
 
     def test_one_solve_across_flow_grid_mean_and_measure(self, rng, monkeypatch):
-        solves = []
-        solve = shellqm.linalg._jacobi_eigh
+        calls = []
 
-        def counting(matrix):
-            solves.append(1)
-            return solve(matrix)
+        def counting(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+            return counted
 
-        monkeypatch.setattr(shellqm.linalg, "_jacobi_eigh", counting)
+        monkeypatch.setattr(shellqm.linalg, "_jacobi_eigh",
+                            counting("solve", shellqm.linalg._jacobi_eigh))
+        monkeypatch.setattr(shellqm.measurement, "ProbabilityDistribution",
+                            counting("born", shellqm.measurement.ProbabilityDistribution))
+        monkeypatch.setattr(shellqm.measurement, "_normalized_cdf",
+                            counting("cdf", shellqm.measurement._normalized_cdf))
         obs = random_hermitian(5, rng)
         raw = rng.normal(size=5) + 1j * rng.normal(size=5)
         psi = make_state(raw / np.linalg.norm(raw), hbar=1.0)
         for t in np.linspace(0.0, 2.0 * np.pi, 9):
             flow(obs, psi, float(t))
+        dist = born_probabilities(obs, psi)
         mean_value(obs, psi)
-        measure(obs, psi, master_rng(3))
-        assert len(solves) == 1
+        stream = master_rng(3)
+        for _ in range(3):
+            measure(obs, psi, stream)
+        measure(obs, psi, stream, system=eigh(obs))
+        assert sorted(calls) == ["born", "cdf", "solve"]
+        assert born_probabilities(obs, psi) is dist
+        with pytest.raises(ValueError):
+            dist.probabilities[0] = 0.5
+        with pytest.raises(ValueError):
+            dist.cdf[0] = 0.5
+        # another observable instance, even of the same matrix, is computed anew
+        other = HermitianObservable(obs.matrix)
+        fresh = born_probabilities(other, psi)
+        assert fresh is not dist and calls.count("born") == 2
+        assert fresh.probabilities.tobytes() == dist.probabilities.tobytes()
 
 
 def assert_decomposes(obs: HermitianObservable, es) -> None:
@@ -460,19 +526,26 @@ class TestRoundRobin:
     def test_sweep_plan_is_cached_per_dimension(self):
         assert _sweep(5) is _sweep(5)
         assert _sweep(5) is not _sweep(6)
+        assert _sweep(5) is not _sweep.__wrapped__(5)
 
     @pytest.mark.parametrize("d", range(2, 66))
     def test_sweep_plan_is_a_fresh_plan_made_read_only(self, d):
-        fresh = list(zip(*_round_indices(d, *_round_robin(d))))
+        fresh = sweep_plan_lists(d)
         plan = _sweep(d)
-        assert len(plan) == len(fresh)
+        assert len(plan) == len(fresh) == d + d % 2 - 1
         for got, want in zip(plan, fresh):
-            assert len(got) == len(want) == 4
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert len(got) == len(want) == 6
+            assert got[0] == want[0] and got[2] == want[2]
+            for a, b in zip(got[1:2] + got[3:], want[1:2] + want[3:]):
+                assert a.dtype == np.intp and np.array_equal(a, b)
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0
+            # an involution whose one fixed point, for odd d, is the idle index
+            partner = got[1]
+            assert np.array_equal(partner[partner], np.arange(d))
+            fixed = (partner == np.arange(d)).nonzero()[0].tolist()
+            assert fixed == ([got[2]] if d % 2 else [])
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 9, 16, 33, 64])
     def test_random_matrices_against_lapack(self, d, rng):
@@ -517,21 +590,66 @@ class TestRoundRobin:
         assert np.sum(upper) == 8
 
     @pytest.mark.parametrize("case", [*(f"random-{d}" for d in (*range(2, 10), 16, 33, 64)),
+                                      *(f"{kind}-{d}" for kind in ("real", "imaginary")
+                                        for d in (5, 7, 9)),
+                                      *(f"decoupled-{d}" for d in (3, 5, 6)),
                                       "block-diagonal", "three-levels"])
     def test_fused_round_is_bit_exact(self, case, rng):
-        # signed zeros count: compare the bits
-        if case == "block-diagonal":
+        # signed zeros count: compare the bits.  Odd d leaves one index idle
+        # per round, whose column and row must come back unchanged; a real
+        # or purely imaginary matrix carries signed zeros through every mix.
+        kind, _, d = case.partition("-")
+        if kind == "block":
             matrix = block_diagonal(rng)
-        elif case == "three-levels":
+        elif kind == "three":
             matrix = three_levels(33)[0]
+        elif kind == "imaginary":
+            k = rng.normal(size=(int(d), int(d)))
+            matrix = HermitianObservable(1j * (k - k.T)).matrix
+        elif kind == "decoupled":
+            matrix = decoupled_signed_zero(int(d))
+            assert np.signbit(eigh(HermitianObservable(matrix)).eigenvalues[0])
         else:
-            matrix = random_hermitian(int(case.split("-")[1]), rng).matrix
+            matrix = random_hermitian(int(d), rng).matrix
+            if kind == "real":
+                matrix = HermitianObservable(matrix.real).matrix
         assert_same_bits(matrix)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(hermitian_edge_matrices())
     def test_solve_is_bit_exact_on_edge_matrices(self, matrix):
         assert_same_bits(matrix)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(hermitian_edge_matrices(), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0, 64]))
+    def test_each_round_is_bit_exact_on_edge_matrices(self, matrix, skip, small_round):
+        # every entry of A and V after each round of a sweep, off-diagonal
+        # signed zeros included, on A as the solve prescales it and with a
+        # skip threshold that drops some pairs, with the coefficients formed
+        # in numpy (SMALL_ROUND 0) or on Python numbers (64) at every d
+        d = matrix.shape[0]
+        fro = float(np.linalg.norm(matrix))
+        if fro < JACOBI_TINY_NORM:
+            parts = matrix.view(float)
+            matrix = np.ldexp(parts, -int(np.frexp(np.max(np.abs(parts)))[1])).view(complex)
+            fro = float(np.linalg.norm(matrix))
+        skip = max(skip * float(np.median(np.abs(matrix))), JACOBI_REL_TOL * fro / d)
+        av = np.concatenate((matrix, np.eye(d, dtype=complex)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shellqm.linalg, "SMALL_ROUND", small_round)
+            for plan, pairs in zip(_sweep(d), round_robin_lists(d)):
+                a, v = av[:d].copy(), av[d:].copy()
+                p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+                assert _rotate_round(av, plan, skip) == rotate_round_apart(a, v, p, q, skip)
+                assert bits(av) == bits(np.concatenate((a, v)))
+
+    @pytest.mark.parametrize("small_round", [0, 64], ids=["numpy", "python"])
+    @pytest.mark.parametrize("case", ["random-7", "random-16", "random-33", "real-9",
+                                      "imaginary-9", "imaginary-16", "decoupled-5"])
+    def test_both_coefficient_paths_are_bit_exact(self, case, small_round, rng, monkeypatch):
+        # each path alone, at dimensions where the solve would take the other
+        monkeypatch.setattr(shellqm.linalg, "SMALL_ROUND", small_round)
+        self.test_fused_round_is_bit_exact(case, rng)
 
     # below 1e-154 the squares in ||A||_F underflow: 1e-200 and 1e-300 are
     # solved only through the power-of-two prescale
@@ -545,6 +663,23 @@ class TestRoundRobin:
         assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-13 * 16 * np.max(np.abs(ref))
         v = es.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(16))) <= 1e-12 * 16
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 33])
+    def test_work_counts_repeat_exactly(self, d, rng):
+        matrix = random_hermitian(d, rng).matrix
+        es = eigh(HermitianObservable(matrix))
+        again = eigh(HermitianObservable(matrix))
+        assert (es.sweeps, es.rotations) == (again.sweeps, again.rotations)
+        assert 0 <= es.sweeps <= JACOBI_SWEEPS
+        assert es.rotations <= es.sweeps * d * (d - 1) // 2
+        assert (es.sweeps > 0) == (es.rotations > 0) == (d > 1)
+
+    def test_work_counts_exclude_skipped_pairs(self, rng):
+        diagonal = eigh(HermitianObservable(np.diag([3.0, 1.0, 2.0])))
+        assert (diagonal.sweeps, diagonal.rotations) == (0, 0)
+        # the 64 pairs across the two 8x8 blocks are skipped in every sweep
+        es = eigh(HermitianObservable(block_diagonal(rng)))
+        assert 0 < es.rotations <= es.sweeps * 2 * 28
 
     def test_sweep_budget_exhausted(self, rng, monkeypatch):
         monkeypatch.setattr(shellqm.linalg, "JACOBI_SWEEPS", 1)

@@ -32,7 +32,7 @@ from shellqm.core import TOL_START, fro_norm
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
 from shellqm.measurement import (NUMPY_PRIVATE, PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
-                                 _orthonormal_columns, outcome_index)
+                                 _normalized_cdf, _orthonormal_columns, outcome_index)
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -651,29 +651,30 @@ class TestAdmissibleSubspace:
 class TestSampling:
     def test_certain_outcome(self):
         u = master_rng(0).random(100)
-        assert np.all(outcome_index(np.array([1.0, 0.0, 0.0]), u) == 0)
+        assert np.all(outcome_index(_normalized_cdf(np.array([1.0, 0.0, 0.0])), u) == 0)
 
     def test_certain_second_outcome(self):
         u = master_rng(0).random(100)
-        assert np.all(outcome_index(np.array([0.0, 1.0]), u) == 1)
+        assert np.all(outcome_index(_normalized_cdf(np.array([0.0, 1.0])), u) == 1)
 
     def test_fair_coin_frequency(self):
         n = 10**5
-        freq = np.mean(outcome_index(np.array([0.5, 0.5]), master_rng(2026).random(n)))
+        cdf = _normalized_cdf(np.array([0.5, 0.5]))
+        freq = np.mean(outcome_index(cdf, master_rng(2026).random(n)))
         assert 0.49 <= freq <= 0.51
         assert 0.49 <= 1 - freq <= 0.51
 
     def test_scalar_draw_matches_array_draw(self):
-        probs = np.array([0.2, 0.0, 0.5, 0.3])
+        cdf = _normalized_cdf(np.array([0.2, 0.0, 0.5, 0.3]))
         u = master_rng(3).random(64)
-        assert [int(outcome_index(probs, x)) for x in u] == outcome_index(probs, u).tolist()
+        assert [int(outcome_index(cdf, x)) for x in u] == outcome_index(cdf, u).tolist()
 
     def test_top_draw_skips_zero_probability_tail(self):
         # probabilities of an on-shell state may sum to just below 1; a draw
         # above that total must still land on an outcome that can occur
-        probs = np.array([0.99999999995, 0.0])
-        assert outcome_index(probs, 1.0 - 2.0**-53) == 0
-        assert outcome_index(probs, np.full(3, 1.0 - 2.0**-53)).tolist() == [0, 0, 0]
+        cdf = _normalized_cdf(np.array([0.99999999995, 0.0]))
+        assert outcome_index(cdf, 1.0 - 2.0**-53) == 0
+        assert outcome_index(cdf, np.full(3, 1.0 - 2.0**-53)).tolist() == [0, 0, 0]
 
 
 class TestMeasure:
