@@ -56,7 +56,7 @@ def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
 def _json_text(meta: dict, payload: dict) -> str:
     # numpy arrays in a payload are written as (nested) lists
     return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True,
-                      default=np.ndarray.tolist) + "\n"
+                      default=np.ndarray.tolist, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:

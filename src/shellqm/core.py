@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NotHermitianError,
-    NotSquareError,
     OffShellError,
     ZeroVectorError,
 )
@@ -152,7 +151,7 @@ def _hermitian_residual(matrix) -> float:
     """max |M_nm - conj(M_mn)|: 0 when empty, NaN or inf when an entry is."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
         return float(np.abs(m - m.conj().T).max(initial=0.0))
 

@@ -20,7 +20,7 @@ from .core import (
     require_dim,
     require_positive_int,
 )
-from .errors import DimensionMismatchError, InvalidArgumentError, StepCountError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .linalg import unitary_propagator
 
 MAX_STEPS = 10**8  # bounds time only (45, 56 and 300 s at d = 2, 8 and 64, from 1e6 and 1e5 steps)
@@ -78,7 +78,7 @@ def flow_numeric(
     require_dim(psi0.dimension, a.dimension, "state")
     require_positive_int(steps, "steps")
     if steps > MAX_STEPS:
-        raise StepCountError(f"steps {steps} exceeds the cap of {MAX_STEPS}")
+        raise InvalidArgumentError(f"steps {steps} exceeds the cap of {MAX_STEPS}")
 
     hbar = psi0.hbar
     psi = psi0.components

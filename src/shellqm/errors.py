@@ -30,10 +30,6 @@ class NotHermitianError(ShellQMError):
     """Matrix fails the Hermiticity check."""
 
 
-class NotSquareError(ShellQMError):
-    """Matrix is not square."""
-
-
 class NonRealValueError(ShellQMError):
     """A Poisson bracket evaluated to a non-finite value.  Observable values
     need no such check: their kernels are exactly Hermitian."""
@@ -49,10 +45,6 @@ class NoConvergenceError(ShellQMError):
     def __init__(self, message: str, best_value: float | None = None):
         self.best_value = best_value
         super().__init__(message)
-
-
-class StepCountError(ShellQMError):
-    """Requested number of integration steps exceeds the hard cap."""
 
 
 class DegenerateProjectionUnderflowError(ShellQMError):

@@ -188,9 +188,12 @@ def _mean_report(
         raise InvalidArgumentError(f"the mean check needs at least 100 trials, got {trials}")
     empirical = float(np.dot(table.values, table.counts)) / trials
     expected = evaluate_observable(obs, state) / state.hbar
-    centered = table.values - empirical
+    # the spread in units of a power of two near the largest |value|, as
+    # `_jacobi_eigh` scales a tiny matrix, so no square overflows
+    shift = -int(np.frexp(np.max(np.abs(table.values)))[1])
+    centered = np.ldexp(table.values - empirical, shift)
     var = float(np.dot(centered**2, table.counts)) / (trials - 1)
-    sd = float(np.sqrt(max(var, 0.0)))
+    sd = float(np.ldexp(np.sqrt(max(var, 0.0)), -shift))
     threshold = 4.0 * sd / float(np.sqrt(trials)) + TOL_MEAN_GUARD * max(1.0, abs(expected))
     diff = abs(empirical - expected)
     return VerificationReport(

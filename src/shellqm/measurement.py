@@ -12,42 +12,15 @@ probabilities p_n = |<a_n|psi>|^2 / hbar.
 from __future__ import annotations
 
 import functools
-import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
-
 # numpy's private names the minimizer calls: the LAPACK gufuncs behind
 # `np.linalg.qr` and `np.linalg.eigh`, and the FP-error state machinery
-# behind `np.errstate`.  Checked once, before first use, by _require_numpy.
-NUMPY_PRIVATE = (
-    "numpy.linalg._umath_linalg.qr_r_raw",
-    "numpy.linalg._umath_linalg.qr_reduced",
-    "numpy.linalg._umath_linalg.qr_complete",
-    "numpy.linalg._umath_linalg.eigh_lo",
-    "numpy._core.umath._make_extobj",
-    "numpy._core.umath._extobj_contextvar",
-)
-
-
-def _require_numpy() -> None:
-    """Raise ImportError naming `numpy>=2.0` and the first name of
-    NUMPY_PRIVATE this numpy lacks."""
-    for path in NUMPY_PRIVATE:
-        module, _, name = path.rpartition(".")
-        try:
-            found = hasattr(importlib.import_module(module), name)
-        except ImportError:
-            found = False
-        if not found:
-            raise ImportError(f"shellqm needs numpy>=2.0: this numpy {np.__version__} "
-                              f"has no {path}")
-
-
-_require_numpy()
-
-from numpy._core.umath import _extobj_contextvar, _make_extobj  # noqa: E402
+# behind `np.errstate`.  A numpy that lacks one stops this import, naming it.
+from numpy._core.umath import _extobj_contextvar, _make_extobj
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo, qr_complete, qr_r_raw, qr_reduced
 
 from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, fro_norm,
                    make_state, project_to_shell, require_dim, require_positive, require_positive_int)
@@ -72,8 +45,8 @@ class AdmissibleSubspace:
     the eigenvectors of the n-1 levels below.
 
     Level 1 is the full shell (empty orthogonality basis).  A basis with a
-    non-finite entry raises InvalidArgumentError; one whose Gram matrix is
-    more than TOL_GRAM off the identity, or overflows, raises ValueError.
+    non-finite entry, or one whose Gram matrix is more than TOL_GRAM off the
+    identity or overflows, raises InvalidArgumentError.
     """
 
     level: int
@@ -97,7 +70,7 @@ class AdmissibleSubspace:
             with np.errstate(over="ignore", invalid="ignore"):
                 gram = basis.conj().T @ basis
             if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= TOL_GRAM:
-                raise ValueError("orthogonality basis is not orthonormal")
+                raise InvalidArgumentError("orthogonality basis is not orthonormal")
         object.__setattr__(self, "basis", basis)
 
     @classmethod
@@ -108,7 +81,7 @@ class AdmissibleSubspace:
     def for_level(cls, system: EigenSystem, n: int) -> "AdmissibleSubspace":
         """Admissible set for the n-th level of a solved spectrum."""
         if not 1 <= n <= system.dimension:
-            raise ValueError(f"level {n} out of range 1..{system.dimension}")
+            raise InvalidArgumentError(f"level {n} out of range 1..{system.dimension}")
         return cls(level=n, basis=system.eigenvectors[:, : n - 1])
 
 
@@ -169,22 +142,26 @@ def born_probabilities(
 
     `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
     a decomposition obtained some other way.  The distribution is memoized
-    on the state, whose components are read-only (`make_state`), keyed on
-    the observable instance and the decomposition, as `eigh` memoizes on
-    the observable: a later call on the same three returns the same
-    distribution, with its CDF, so `mean_value` and `measure` on one state
-    reuse it.
+    on a state whose components are read-only and own their data, as
+    `make_state` and `canonical_phase` make them, keyed on the observable
+    instance and the decomposition, as `eigh` memoizes on the observable: a
+    later call on the same three returns the same distribution, with its
+    CDF, so `mean_value` and `measure` on one state reuse it.  A state built
+    directly on an array that can still change is not memoized.
     """
     require_dim(state.dimension, obs.dimension, "state")
     es = eigh(obs) if system is None else system
-    memo = state.__dict__.get("_born")
+    flags = state.components.flags
+    fixed = flags.owndata and not flags.writeable
+    memo = state.__dict__.get("_born") if fixed else None
     if memo is None or memo[0] is not obs or memo[1] is not es:
         amplitudes = es.eigenvectors.conj().T @ state.components
         weights = np.abs(amplitudes) ** 2 / state.hbar
         probabilities = np.bincount(es.cluster, weights)
         probabilities.setflags(write=False)
         memo = (obs, es, ProbabilityDistribution(es.cluster_values, probabilities))
-        object.__setattr__(state, "_born", memo)
+        if fixed:
+            object.__setattr__(state, "_born", memo)
     return memo[2]
 
 
@@ -229,10 +206,10 @@ def _orthonormal_columns(m: np.ndarray, complete: bool = False) -> np.ndarray:
     shape), hence the `numpy>=2.0` floor."""
     token = _extobj_contextvar.set(_QR_ERRSTATE)
     try:
-        tau = _umath_linalg.qr_r_raw(m, signature="D->D")
+        tau = qr_r_raw(m, signature="D->D")
         if complete:
-            return _umath_linalg.qr_complete(m, tau, signature="DD->D")
-        return _umath_linalg.qr_reduced(m, tau, signature="DD->D")
+            return qr_complete(m, tau, signature="DD->D")
+        return qr_reduced(m, tau, signature="DD->D")
     finally:
         _extobj_contextvar.reset(token)
 
@@ -243,7 +220,7 @@ def _lowest_eigenvector(h: np.ndarray) -> np.ndarray:
     once as _EIGH_ERRSTATE and entered as in `_orthonormal_columns`."""
     token = _extobj_contextvar.set(_EIGH_ERRSTATE)
     try:
-        return _umath_linalg.eigh_lo(h, signature="D->dD")[1][:, 0]
+        return eigh_lo(h, signature="D->dD")[1][:, 0]
     finally:
         _extobj_contextvar.reset(token)
 
@@ -283,7 +260,7 @@ def constrained_min(
     require_dim(sub.basis.shape[0], d, "basis vectors")
     require_positive(hbar, "hbar")
     if sub.level > d:
-        raise ValueError(f"level {sub.level} exceeds dimension {d}")
+        raise InvalidArgumentError(f"level {sub.level} exceeds dimension {d}")
     # level - 1 < d columns, so the complete QR has more rows than columns;
     # sub.basis may be a read-only view of a solved spectrum, hence the copy
     q = _orthonormal_columns(sub.basis.copy(), complete=True)[:, sub.level - 1:]

@@ -24,7 +24,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def check_hermitian(matrix) -> bool:
-    """True iff max |M_nm - conj(M_mn)| <= TOL_HERM (NotSquareError when not square)."""
+    """True iff max |M_nm - conj(M_mn)| <= TOL_HERM (DimensionMismatchError when not square)."""
     return _hermitian_residual(matrix) <= TOL_HERM
 
 

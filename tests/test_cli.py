@@ -318,8 +318,9 @@ class TestDispatch:
          "needs 're' array"),
         ("[1, 2]", [], "ScenarioParseError", "must be a JSON object"),
         ("[" * 100000 + "]" * 100000, [], "ScenarioParseError", "invalid JSON: nested too deeply"),
+        (scenario_text(normalize=1), [], "ScenarioParseError", "must be a boolean"),
     ], ids=["tol-without-value", "tol-repeated", "tolerances-not-object", "observable-without-re",
-            "document-not-object", "nested-too-deeply"])
+            "document-not-object", "nested-too-deeply", "normalize-not-boolean"])
     def test_input_error_is_one_json_line(self, tmp_path, capsys, text, extra, kind, message):
         path = tmp_path / "scenario.json"
         path.write_text(text)
@@ -345,6 +346,19 @@ class TestDispatch:
         path.write_text(json.dumps(doc))
         assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "verify.json").read_text())["passed"]
+
+    def test_verify_on_a_huge_spectrum_is_finite_and_quiet(self, tmp_path, capsys):
+        # the squared spread of +-1e153 outcomes overflows unless scaled first
+        doc = json.loads(EQUAL_Q2.read_text())
+        doc["observable"] = {"re": [[1e153, 0], [0, -1e153]], "im": [[0, 0], [0, 0]]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path), "--trials", "10000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [mean] = [r for r in json.loads(captured.out)["reports"]
+                  if r["name"] == "mean-proportionality"]
+        assert np.isfinite(mean["threshold"])
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["probs", "--scenario", str(tmp_path / "nope.json")]) == 2

@@ -6,6 +6,7 @@ import pytest
 
 import shellqm
 import shellqm.core
+import shellqm.errors
 from shellqm import (
     GeneralQuadraticObservable,
     HermitianObservable,
@@ -23,6 +24,7 @@ from shellqm.errors import (
     InvalidArgumentError,
     NotHermitianError,
     OffShellError,
+    ShellQMError,
     ZeroVectorError,
 )
 
@@ -109,6 +111,11 @@ class TestProjectToShell:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             project_to_shell([0, 0], hbar=1.0)
+
+    @pytest.mark.parametrize("raw", [[[1, 0]], []])
+    def test_rejects_a_matrix_or_empty_input(self, raw):
+        with pytest.raises(DimensionMismatchError, match="nonempty 1-d vector"):
+            project_to_shell(raw, hbar=1.0)
 
     def test_three_four_five(self):
         # oracle: norm is 5, divide through
@@ -214,6 +221,12 @@ class TestStatesEqual:
         with pytest.raises(DimensionMismatchError):
             states_equal(a, b)
 
+    def test_different_shells_refused(self):
+        a = make_state([1, 0], hbar=1.0)
+        b = make_state([2, 0], hbar=4.0)
+        with pytest.raises(DimensionMismatchError, match="different radius"):
+            states_equal(a, b)
+
     def test_equivalence_relation_up_to_tolerance(self, rng):
         # reflexive / symmetric always; transitivity holds at the documented
         # doubled tolerance when both links hold at tol.
@@ -269,9 +282,7 @@ class TestHermitianObservable:
             HermitianObservable(np.zeros((0, 0)))
 
     def test_rejects_non_square(self):
-        from shellqm.errors import NotSquareError
-
-        with pytest.raises(NotSquareError):
+        with pytest.raises(DimensionMismatchError):
             HermitianObservable(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -315,6 +326,10 @@ class TestGeneralQuadraticObservable:
         with pytest.raises(DimensionMismatchError):
             GeneralQuadraticObservable(0.0, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
 
+    def test_rejects_a_linear_part_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="linear part has length 3"):
+            GeneralQuadraticObservable(0.0, np.zeros(3), np.eye(2), np.zeros((2, 2)))
+
     def test_caller_arrays_stay_writeable_and_unshared(self):
         lin = np.zeros(2, dtype=complex)
         herm = np.array([[1, 1j], [-1j, 2]])
@@ -351,6 +366,24 @@ class TestThresholdTable:
                  if isinstance(node, ast.Constant) and type(node.value) is float
                  and 0.0 < node.value <= 1e-5]
         assert found == []
+
+    def test_every_raise_is_a_package_error(self):
+        # a refusal is a ShellQMError, which `cli.main` reports as one JSON
+        # line; the rest are cli's own usage errors and exit, eigh's type
+        # check, numpy's gufunc error contract and the seed protocol's error
+        allowed = {("cli.py", "ValueError"): 3, ("cli.py", "argparse.ArgumentError"): 1,
+                   ("cli.py", "SystemExit"): 2, ("linalg.py", "TypeError"): 1,
+                   ("measurement.py", "LinAlgError"): 2, ("rng.py", "ValueError"): 1}
+        others = {}
+        for name, tree in self.modules().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    kind = ast.unparse(exc) if exc is not None else "bare raise"
+                    error = getattr(shellqm.errors, kind, None)
+                    if not (isinstance(error, type) and issubclass(error, ShellQMError)):
+                        others[name, kind] = others.get((name, kind), 0) + 1
+        assert others == allowed
 
     def test_each_threshold_is_assigned_only_in_core(self):
         assigned = {}

@@ -17,7 +17,8 @@ from shellqm import (
 )
 from shellqm import dynamics, linalg
 from shellqm.core import RK4_SHELL_TOL
-from shellqm.errors import InvalidArgumentError, OffShellError, StepCountError
+from shellqm.dynamics import Trajectory
+from shellqm.errors import DimensionMismatchError, InvalidArgumentError, OffShellError
 
 from conftest import SIGMA_X, random_hermitian, random_state
 
@@ -153,6 +154,10 @@ class TestFlowNumeric:
         assert len(traj.states) == 2
         assert traj.states[0] is s
 
+    def test_trajectory_refuses_misaligned_times(self, rng):
+        with pytest.raises(DimensionMismatchError, match="different lengths"):
+            Trajectory(np.array([0.0, 1.0]), (random_state(2, rng),))
+
     def test_memory_does_not_grow_with_steps(self, rng):
         # the RK4_BLOCK powers of the step matrix are formed whatever the steps
         def peak(a, s, steps):
@@ -274,7 +279,7 @@ class TestFlowNumeric:
 
     def test_step_cap(self, rng):
         s = random_state(2, rng)
-        with pytest.raises(StepCountError):
+        with pytest.raises(InvalidArgumentError, match="exceeds the cap"):
             flow_numeric(random_hermitian(2, rng), s, 1.0, steps=10**8 + 1)
 
 

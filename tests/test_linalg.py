@@ -22,7 +22,7 @@ from shellqm import (
 from shellqm.core import JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, phase_fix
 from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _rotate_round, _round_robin, _sweep
 from shellqm.rng import master_rng
-from shellqm.errors import NoConvergenceError, NotSquareError
+from shellqm.errors import DimensionMismatchError, NoConvergenceError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, check_hermitian, random_hermitian
 
@@ -254,7 +254,7 @@ class TestCheckHermitian:
         assert check_hermitian(SIGMA_Y)
 
     def test_not_square(self):
-        with pytest.raises(NotSquareError):
+        with pytest.raises(DimensionMismatchError):
             check_hermitian(np.zeros((2, 3)))
 
 

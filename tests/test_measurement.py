@@ -17,6 +17,8 @@ import shellqm.measurement
 from shellqm import (
     AdmissibleSubspace,
     HermitianObservable,
+    ProbabilityDistribution,
+    StateVector,
     born_probabilities,
     config_observable,
     constrained_min,
@@ -31,8 +33,8 @@ from shellqm import (
 from shellqm.core import TOL_START, fro_norm
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
-from shellqm.measurement import (NUMPY_PRIVATE, PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector,
-                                 _normalized_cdf, _orthonormal_columns, outcome_index)
+from shellqm.measurement import (PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector, _normalized_cdf,
+                                 _orthonormal_columns, outcome_index)
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -154,6 +156,22 @@ class TestBornProbabilities:
         with pytest.raises(DimensionMismatchError):
             born_probabilities(random_hermitian(3, rng), random_state(2, rng))
 
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_a_state_on_an_array_that_can_change_follows_it(self, locked):
+        # a writable array, or a read-only view of one, is not memoized on
+        c = np.array([1, 0], dtype=complex)
+        components = c.view()
+        components.setflags(write=not locked)
+        s = StateVector(components, 1.0)
+        obs = config_observable(2)
+        assert born_probabilities(obs, s).probabilities.tolist() == [1.0, 0.0]
+        c[:] = [0, 1]
+        assert born_probabilities(obs, s).probabilities.tolist() == [0.0, 1.0]
+
+    def test_distribution_refuses_misaligned_arrays(self):
+        with pytest.raises(DimensionMismatchError, match="differ in length"):
+            ProbabilityDistribution(np.zeros(2), np.zeros(3))
+
 
 class TestMeanValue:
     def test_eigenstate_mean_is_eigenvalue(self, rng):
@@ -274,6 +292,12 @@ class TestConstrainedMin:
         obs = HermitianObservable(SIGMA_Z)
         with pytest.raises(InvalidArgumentError, match="hbar"):
             constrained_min(obs, AdmissibleSubspace.full_shell(2), seed=0, hbar=hbar)
+
+    def test_level_above_the_dimension_refused(self):
+        # a full unitary basis is orthonormal, but leaves no admissible state
+        sub = AdmissibleSubspace(level=3, basis=np.eye(2))
+        with pytest.raises(InvalidArgumentError, match="level 3 exceeds dimension 2"):
+            constrained_min(HermitianObservable(SIGMA_Z), sub, seed=0)
 
     def test_near_degenerate_reports_no_convergence(self, monkeypatch):
         # a 1e-4 gap below a spectrum in [0.5, 1] takes about 30 steps to
@@ -568,41 +592,56 @@ class TestLapackErrorStates:
                                "invalid": "warn"}
 
 
+# numpy's private names the package calls: (module, name)
+NUMPY_PRIVATE = (
+    ("numpy.linalg._umath_linalg", "qr_r_raw"),
+    ("numpy.linalg._umath_linalg", "qr_reduced"),
+    ("numpy.linalg._umath_linalg", "qr_complete"),
+    ("numpy.linalg._umath_linalg", "eigh_lo"),
+    ("numpy._core.umath", "_make_extobj"),
+    ("numpy._core.umath", "_extobj_contextvar"),
+)
+
+
+def _private(dotted: str) -> bool:
+    return any(part.startswith("_") for part in dotted.split("."))
+
+
 class TestNumpyPrivateNames:
     """The private numpy names the package calls are exactly NUMPY_PRIVATE,
-    which is checked once, at import."""
+    each bound by name by an import in measurement.py, so a numpy that lacks
+    one stops `import shellqm` naming it."""
 
-    def test_private_names_used_are_the_checked_ones(self):
-        used = set()
+    def test_only_measurement_binds_them_by_name(self):
+        bound = set()
         for path in Path(shellqm.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                        and node.value.id == "_umath_linalg"):
-                    used.add(f"numpy.linalg._umath_linalg.{node.attr}")
-                elif (isinstance(node, ast.ImportFrom)
-                        and (node.module or "").startswith("numpy._core")):
-                    used.update(f"{node.module}.{alias.name}" for alias in node.names)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                    bound.update((path.name, node.module, alias.name) for alias in node.names
+                                 if _private(f"{node.module}.{alias.name}"))
                 elif isinstance(node, ast.Import):
-                    assert not any(a.name.startswith("numpy._core") for a in node.names)
-        assert len(set(NUMPY_PRIVATE)) == len(NUMPY_PRIVATE)
-        assert used == set(NUMPY_PRIVATE)
+                    assert not any(a.name.startswith("numpy") and _private(a.name)
+                                   for a in node.names)
+                elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                    root = node.value
+                    while isinstance(root, ast.Attribute):
+                        root = root.value
+                    assert not (isinstance(root, ast.Name) and root.id in ("np", "numpy"))
+        assert bound == {("measurement.py", module, name) for module, name in NUMPY_PRIVATE}
 
-    @pytest.mark.parametrize("path", NUMPY_PRIVATE)
-    def test_a_missing_name_is_an_import_error_naming_it(self, path):
-        module, _, name = path.rpartition(".")
-        code = (f"import importlib\n"
+    @pytest.mark.parametrize("module, name", NUMPY_PRIVATE)
+    def test_a_missing_name_stops_the_cli_naming_it(self, module, name):
+        # `python -m shellqm.cli` with the name deleted first
+        code = (f"import importlib, runpy\n"
                 f"delattr(importlib.import_module({module!r}), {name!r})\n"
-                f"try:\n"
-                f"    import shellqm\n"
-                f"except ImportError as err:\n"
-                f"    print(err)\n")
+                f"runpy.run_module('shellqm.cli', run_name='__main__')\n")
         src = str(Path(shellqm.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=60)
-        assert run.returncode == 0 and run.stderr == ""
-        assert "numpy>=2.0" in run.stdout and f"has no {path}\n" in run.stdout
+        assert run.returncode == 1 and run.stdout == ""
+        assert f"ImportError: cannot import name {name!r} from {module!r}" in run.stderr
 
 
 class TestAdmissibleSubspace:
@@ -614,6 +653,11 @@ class TestAdmissibleSubspace:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError):
             AdmissibleSubspace(level=2, basis=np.array([[1.0], [1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("level, basis", [(2, np.zeros(2)), (2, np.zeros((2, 2)))])
+    def test_rejects_a_basis_of_the_wrong_shape(self, level, basis):
+        with pytest.raises(DimensionMismatchError):
+            AdmissibleSubspace(level=level, basis=basis)
 
     def test_level_out_of_range(self, rng):
         es = eigh(random_hermitian(3, rng))

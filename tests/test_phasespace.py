@@ -17,7 +17,7 @@ from shellqm import (
     to_complex,
     to_real,
 )
-from shellqm.errors import DimensionMismatchError, NotVanishingAtRestError
+from shellqm.errors import DimensionMismatchError, NonRealValueError, NotVanishingAtRestError
 
 from conftest import SIGMA_X, SIGMA_Y, random_hermitian, random_state
 
@@ -185,6 +185,14 @@ class TestPoissonBracket:
         b = HermitianObservable(SIGMA_Y)
         s = make_state([1, 0], hbar=1.0)
         assert poisson_bracket(a, b, s).value == pytest.approx(-2.0)
+
+    def test_overflowing_bracket_refused(self):
+        # finite operands whose products overflow to inf, and inf - inf to NaN
+        hbar = 1e300
+        a = HermitianObservable(1e150 * np.eye(2))
+        s = make_state(np.full(2, (1 + 1j) / 2 * np.sqrt(hbar)), hbar=hbar)
+        with pytest.raises(NonRealValueError, match="not finite"):
+            poisson_bracket(a, a, s)
 
     def test_identity_commutes(self, rng):
         a = random_hermitian(4, rng)
