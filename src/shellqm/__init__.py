@@ -36,7 +36,6 @@ from .measurement import (
     measure,
 )
 from .phasespace import (
-    BracketValue,
     evaluate_general,
     evaluate_observable,
     hermitian_from_function,
@@ -49,7 +48,6 @@ from .scenario import Scenario, parse_scenario
 
 __all__ = [
     "AdmissibleSubspace",
-    "BracketValue",
     "EigenSystem",
     "FrequencyTable",
     "GeneralQuadraticObservable",

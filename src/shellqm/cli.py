@@ -9,6 +9,7 @@ in its header, so any output is reproducible from the file alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -90,7 +91,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
     elif command == "probs":
         dist = born_probabilities(obs, state)
         header = ["outcome", "probability"]
-        rows = [[float(v), float(p)] for v, p in dist.outcomes]
+        rows = list(zip(dist.values.tolist(), dist.probabilities.tolist()))
         payload = {"values": dist.values, "probabilities": dist.probabilities}
     elif command == "mean":
         mean = mean_value(obs, state)
@@ -124,19 +125,8 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
                    "frequencies": table.frequencies, "reference": table.reference}
     elif command == "verify":
         reports = verification_suite(obs, state, trials, seed)
-        payload = {
-            "reports": [
-                {
-                    "name": r.name,
-                    "statistic": float(r.statistic),
-                    "threshold": float(r.threshold),
-                    "passed": bool(r.passed),
-                    "digest": r.digest,
-                }
-                for r in reports
-            ],
-            "passed": all(bool(r.passed) for r in reports),
-        }
+        payload = {"reports": [dataclasses.asdict(r) for r in reports],
+                   "passed": all(r.passed for r in reports)}
         _emit(_json_text(meta, payload), args.out, "verify.json")
         return 0 if payload["passed"] else 1
     else:

@@ -8,7 +8,7 @@ tallies are bit-identical however the trials are executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def chi2_threshold_999(dof: int) -> float:
     require_positive_int(dof, "dof")
     if dof in CHI2_999:
         return CHI2_999[dof]
-    return dof * (1.0 - 2.0 / (9.0 * dof) + _Z_999 * np.sqrt(2.0 / (9.0 * dof))) ** 3
+    return float(dof * (1.0 - 2.0 / (9.0 * dof) + _Z_999 * np.sqrt(2.0 / (9.0 * dof))) ** 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +91,7 @@ class VerificationReport:
     statistic: float
     threshold: float
     passed: bool
-    digest: dict = field(default_factory=dict)
+    digest: dict
 
 
 def run_trials(
@@ -109,7 +109,8 @@ def run_trials(
     Each chunk is released before the next is drawn, so memory is one chunk
     whatever `trials` is.
     """
-    if not 1 <= trials <= MAX_TRIALS:
+    require_positive_int(trials, "trials")
+    if trials > MAX_TRIALS:
         raise InvalidArgumentError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dist = born_probabilities(obs, state)
     counts = np.zeros(len(dist.cdf), dtype=np.int64)

@@ -104,10 +104,6 @@ class ProbabilityDistribution:
         cdf.setflags(write=False)
         return cdf
 
-    @property
-    def outcomes(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.probabilities.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:

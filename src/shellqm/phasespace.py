@@ -8,7 +8,7 @@ omega); in them the constant-energy ellipsoid becomes the sphere
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
@@ -25,17 +25,6 @@ from .core import (
     require_positive_int,
 )
 from .errors import NonRealValueError, NotVanishingAtRestError
-
-
-@dataclass(frozen=True)
-class BracketValue:
-    """Poisson bracket of two observables evaluated at a state."""
-
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise NonRealValueError(f"bracket value is not finite: {self.value!r}")
 
 
 def to_complex(pt: PhaseSpacePoint, params: OscillatorParams) -> np.ndarray:
@@ -90,8 +79,9 @@ def evaluate_general(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:
 
 def poisson_bracket(
     a: HermitianObservable, b: HermitianObservable, state: StateVector
-) -> BracketValue:
-    """Poisson bracket {A, B} at the state, computed as i <psi|[A, B]|psi>.
+) -> float:
+    """Poisson bracket {A, B} at the state, computed as i <psi|[A, B]|psi>;
+    a value that is not finite raises NonRealValueError.
 
     The commutator path is exact up to rounding; the equivalent derivative
     form i (dA/dpsi dB/dpsi* - dA/dpsi* dB/dpsi) is kept to tests as the
@@ -103,7 +93,10 @@ def poisson_bracket(
     apsi = a.matrix @ psi
     bpsi = b.matrix @ psi
     # i(<A psi|B psi> - <B psi|A psi>) = -2 Im <A psi|B psi>
-    return BracketValue(-2.0 * float(np.imag(np.vdot(apsi, bpsi))))
+    value = -2.0 * float(np.imag(np.vdot(apsi, bpsi)))
+    if not math.isfinite(value):
+        raise NonRealValueError(f"bracket value is not finite: {value!r}")
+    return value
 
 
 def hermitian_from_function(

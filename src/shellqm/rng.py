@@ -15,9 +15,12 @@ own header.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Iterator
 
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 RNG_ID = "philox4x64-10"
 TRIAL_CHUNK = 1 << 16  # draws per chunk: 512 KiB of doubles
@@ -39,7 +42,10 @@ def _key_sequence() -> type:
 
 
 def master_rng(seed: int) -> np.random.Generator:
-    """Generator whose draw sequence is keyed by `seed` alone."""
+    """Generator whose draw sequence is keyed by `seed` alone, an integer
+    (not a bool) taken mod 2^128."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(_key_sequence()(int(seed) & _KEY_MASK)))
 
 

@@ -40,7 +40,7 @@ class Scenario:
     """Validated measurement setup: dimensions, observable, prepared state.
 
     `tolerances` only decide admission; the core gets the Hermitian part and the on-shell state.
-    Each is built on first call and kept, so every later call returns that same instance."""
+    Both are admitted when the scenario is built and kept, so every call returns that instance."""
 
     dimension: int
     hbar: float
@@ -55,23 +55,20 @@ class Scenario:
     trials: int
     tolerances: dict = field(default_factory=dict)
 
-    def observable(self) -> HermitianObservable:
-        if "_observable" in self.__dict__:
-            return self.__dict__["_observable"]
+    def __post_init__(self):
         m = self.observable_re + 1j * self.observable_im
         obs = HermitianObservable(hermitian_part(m, self.tolerances.get("herm", TOL_HERM)))
-        object.__setattr__(self, "_observable", obs)
-        return obs
-
-    def state(self) -> StateVector:
-        if "_state" in self.__dict__:
-            return self.__dict__["_state"]
         raw = self.state_re + 1j * self.state_im
         if not self.normalize:
             make_state(raw, self.hbar, tol=self.tolerances.get("shell", TOL_SHELL))
-        state = project_to_shell(raw, self.hbar)
-        object.__setattr__(self, "_state", state)
-        return state
+        object.__setattr__(self, "_observable", obs)
+        object.__setattr__(self, "_state", project_to_shell(raw, self.hbar))
+
+    def observable(self) -> HermitianObservable:
+        return self._observable
+
+    def state(self) -> StateVector:
+        return self._state
 
     def to_dict(self) -> dict:
         doc = {
@@ -187,27 +184,24 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     obs_re, obs_im = _complex_parts(doc, "observable", (d, d))
     state_re, state_im = _complex_parts(doc, "state", (d,))
 
-    scenario = Scenario(
-        dimension=d,
-        hbar=hbar,
-        mass=mass,
-        omega=omega,
-        observable_re=obs_re,
-        observable_im=obs_im,
-        state_re=state_re,
-        state_im=state_im,
-        normalize=normalize,
-        seed=seed,
-        trials=trials,
-        tolerances=tolerances,
-    )
-    try:  # the instances built here are the ones every later call returns
-        scenario.observable()
-        scenario.state()
+    try:
+        return Scenario(
+            dimension=d,
+            hbar=hbar,
+            mass=mass,
+            omega=omega,
+            observable_re=obs_re,
+            observable_im=obs_im,
+            state_re=state_re,
+            state_im=state_im,
+            normalize=normalize,
+            seed=seed,
+            trials=trials,
+            tolerances=tolerances,
+        )
     except OffShellError as exc:
         raise ScenarioValidationError(
             f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"
         ) from None
     except Exception as exc:
         raise ScenarioValidationError(str(exc)) from None
-    return scenario

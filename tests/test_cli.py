@@ -15,8 +15,8 @@ import shellqm.rng
 import shellqm.scenario
 from shellqm.cli import COMMANDS, MAX_SAMPLES, main
 from shellqm.core import TOL_HERM, TOL_SHELL
-from shellqm.errors import ScenarioParseError, ScenarioValidationError
-from shellqm.experiments import MAX_TRIALS
+from shellqm.errors import OffShellError, ScenarioParseError, ScenarioValidationError
+from shellqm.experiments import MAX_TRIALS, random_hermitian, random_state
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
 
@@ -159,7 +159,7 @@ class TestParseScenario:
         assert scenario.observable() is scenario.observable()
         assert scenario.state() is scenario.state()
 
-    def test_direct_scenario_builds_on_first_call(self):
+    def test_direct_scenario_admits_when_built(self):
         parsed = parse_scenario(scenario_text())
         direct = dataclasses.replace(parsed)
         assert direct.observable() is not parsed.observable()
@@ -167,6 +167,11 @@ class TestParseScenario:
         assert direct.state() is direct.state()
         assert np.array_equal(direct.observable().matrix, parsed.observable().matrix)
         assert np.array_equal(direct.state().components, parsed.state().components)
+
+    def test_direct_off_shell_state_refused_when_built(self):
+        parsed = parse_scenario(scenario_text())
+        with pytest.raises(OffShellError):
+            dataclasses.replace(parsed, normalize=False, state_re=np.array([1.0, 1.0]))
 
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))
@@ -346,6 +351,22 @@ class TestDispatch:
         path.write_text(json.dumps(doc))
         assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "verify.json").read_text())["passed"]
+
+    def test_verify_above_the_embedded_chi_square_table_is_strict_json(self, tmp_path, capsys):
+        # 40 outcomes pool to more than 32 degrees of freedom
+        rng = master_rng(40)
+        m, psi = random_hermitian(40, rng).matrix, random_state(40, rng).components
+        path = self.write_scenario(tmp_path, dimension=40, normalize=False, trials=100000,
+                                   observable={"re": m.real.tolist(), "im": m.imag.tolist()},
+                                   state={"re": psi.real.tolist(), "im": psi.imag.tolist()})
+        assert main(["verify", "--scenario", path]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["passed"] is True
+        assert [r["passed"] for r in out["reports"]] == [True] * 4
 
     def test_verify_on_a_huge_spectrum_is_finite_and_quiet(self, tmp_path, capsys):
         # the squared spread of +-1e153 outcomes overflows unless scaled first

@@ -68,7 +68,7 @@ class TestRngStreams:
             g.integers(-2**62, 2**62, size=1000), g.random(), g.normal(), g.integers(3))]
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 2**64 + 3, 2**127 - 1, 2**128 + 5,
-                                      -5, 10**30])
+                                      -5, 10**30, np.int64(-9)])
     def test_streams_are_philox_keyed_by_the_seed(self, seed):
         def keyed():
             return np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
@@ -88,6 +88,12 @@ class TestRngStreams:
             assert not isinstance(bit_generator.seed_seq, np.random.SeedSequence)
         with pytest.raises(ValueError):
             first.seed_seq.generate_state(4)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, np.float64(1.0)],
+                             ids=["1.5", "1.0", "True", "str", "None", "float64"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            master_rng(seed)
 
     def test_import_does_not_load_numpy_random(self):
         # most CLI commands draw nothing, and numpy.random takes about 13 ms
@@ -158,6 +164,22 @@ class TestRunTrials:
         obs, state = equal_weight_scenario()
         with pytest.raises(InvalidArgumentError, match="trials"):
             run_trials(obs, state, trials, seed=0)
+
+    @pytest.mark.parametrize("trials", [100.5, 100.0, True], ids=["100.5", "100.0", "True"])
+    def test_trials_must_be_an_integer(self, monkeypatch, trials):
+        def refuse(seed, n):
+            raise AssertionError("no trial may be drawn")
+
+        monkeypatch.setattr(shellqm.experiments, "trial_chunks", refuse)
+        obs, state = equal_weight_scenario()
+        with pytest.raises(InvalidArgumentError, match="trials must be a positive integer"):
+            run_trials(obs, state, trials, seed=0)
+
+    def test_numpy_integer_trials_accepted(self):
+        obs, state = equal_weight_scenario()
+        table = run_trials(obs, state, np.int64(1000), seed=0)
+        assert table.trials == 1000
+        assert np.array_equal(table.counts, run_trials(obs, state, 1000, seed=0).counts)
 
     def test_top_draws_skip_zero_probability_outcome(self, monkeypatch):
         # probabilities [1 - 5e-11, 0]: draws above their total still tally
@@ -368,6 +390,16 @@ class TestVerificationSuite:
         assert [r.name for r in reports[2:]] == ["courant-fischer", "norm-conservation"]
         assert reports[2].threshold == TOL_CF
         assert reports[3].threshold == TOL_NORM_DRIFT * state.hbar
+
+    def test_reports_hold_python_scalars_above_the_embedded_table(self):
+        # 40 outcomes pool to more than 32 degrees of freedom, where the
+        # threshold comes from the Wilson-Hilferty formula
+        rng = master_rng(40)
+        obs, state = random_hermitian(40, rng), random_state(40, rng)
+        reports = verification_suite(obs, state, 100000, 7)
+        assert reports[1].name == "chi-square" and reports[1].threshold > CHI2_999[32]
+        for r in reports:
+            assert (type(r.statistic), type(r.threshold), type(r.passed)) == (float, float, bool)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 5 must scale the mean guard and the "
                        "Courant-Fischer deviation by TOL_RESOLUTION")

@@ -177,14 +177,14 @@ class TestPoissonBracket:
     def test_antisymmetry_self(self, rng):
         a = random_hermitian(3, rng)
         s = random_state(3, rng)
-        assert poisson_bracket(a, a, s).value == 0.0
+        assert poisson_bracket(a, a, s) == 0.0
 
     def test_pauli_pair_at_basis_state(self):
         # oracle: [sx, sy] = 2i sz, so i<psi|2i sz|psi> = -2 <sz> = -2
         a = HermitianObservable(SIGMA_X)
         b = HermitianObservable(SIGMA_Y)
         s = make_state([1, 0], hbar=1.0)
-        assert poisson_bracket(a, b, s).value == pytest.approx(-2.0)
+        assert poisson_bracket(a, b, s) == pytest.approx(-2.0)
 
     def test_overflowing_bracket_refused(self):
         # finite operands whose products overflow to inf, and inf - inf to NaN
@@ -198,14 +198,14 @@ class TestPoissonBracket:
         a = random_hermitian(4, rng)
         eye = HermitianObservable(np.eye(4, dtype=complex))
         s = random_state(4, rng)
-        assert poisson_bracket(a, eye, s).value == pytest.approx(0.0, abs=1e-12)
+        assert poisson_bracket(a, eye, s) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_derivative_path(self, rng):
         for _ in range(200):
             d = int(rng.integers(2, 7))
             a, b = random_hermitian(d, rng), random_hermitian(d, rng)
             s = random_state(d, rng)
-            got = poisson_bracket(a, b, s).value
+            got = poisson_bracket(a, b, s)
             assert got == pytest.approx(bracket_from_gradients(a, b, s), abs=1e-10)
 
     def test_bilinearity_and_antisymmetry(self, rng):
@@ -214,11 +214,11 @@ class TestPoissonBracket:
         s = random_state(d, rng)
         lam = 0.73
         combo = HermitianObservable(a.matrix + lam * b.matrix)
-        lhs = poisson_bracket(combo, c, s).value
-        rhs = poisson_bracket(a, c, s).value + lam * poisson_bracket(b, c, s).value
+        lhs = poisson_bracket(combo, c, s)
+        rhs = poisson_bracket(a, c, s) + lam * poisson_bracket(b, c, s)
         assert lhs == pytest.approx(rhs, abs=1e-10)
-        assert poisson_bracket(a, b, s).value == pytest.approx(
-            -poisson_bracket(b, a, s).value, abs=1e-12
+        assert poisson_bracket(a, b, s) == pytest.approx(
+            -poisson_bracket(b, a, s), abs=1e-12
         )
 
     def test_jacobi_identity(self, rng):
@@ -232,9 +232,9 @@ class TestPoissonBracket:
                 return HermitianObservable(1j * commutator(x, y))
 
             total = (
-                poisson_bracket(a, inner(b, c), s).value
-                + poisson_bracket(b, inner(c, a), s).value
-                + poisson_bracket(c, inner(a, b), s).value
+                poisson_bracket(a, inner(b, c), s)
+                + poisson_bracket(b, inner(c, a), s)
+                + poisson_bracket(c, inner(a, b), s)
             )
             assert abs(total) <= 1e-8
 
