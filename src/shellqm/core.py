@@ -43,7 +43,9 @@ TOL_NORM_DRIFT = 1e-9    # shell-norm drift of the exact flow, relative to hbar
 POOL_MIN_EXPECTED = 5.0  # expected count below which chi-square pools, relative to nothing
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def readonly_copy(x, dtype=None) -> np.ndarray:
+    """A read-only copy of `x`, in its layout: how every value type stores an array."""
+    arr = np.array(x, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -105,14 +107,14 @@ class PhaseSpacePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        q = np.atleast_1d(readonly_copy(self.q, float))
+        p = np.atleast_1d(readonly_copy(self.p, float))
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
             raise DimensionMismatchError(
                 f"q and p must be 1-d vectors of equal length, got {q.shape} and {p.shape}"
             )
-        object.__setattr__(self, "q", _readonly(q))
-        object.__setattr__(self, "p", _readonly(p))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
     @property
     def dimension(self) -> int:
@@ -130,6 +132,9 @@ class StateVector:
 
     components: np.ndarray
     hbar: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", readonly_copy(self.components, complex))
 
     @property
     def dimension(self) -> int:
@@ -183,11 +188,11 @@ class HermitianObservable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = hermitian_part(np.array(self.matrix, dtype=complex))
+        m = hermitian_part(self.matrix)
         with np.errstate(over="ignore"):  # an overflow is refused, not warned about
             if not math.isfinite(fro_norm(m)):
                 raise InvalidArgumentError("observable matrix is too large: its norm overflows")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", readonly_copy(m))
 
     @property
     def dimension(self) -> int:
@@ -205,22 +210,22 @@ class GeneralQuadraticObservable:
     anomalous: np.ndarray
 
     def __post_init__(self):
-        lin = np.atleast_1d(np.array(self.linear, dtype=complex))
-        herm = np.array(self.hermitian, dtype=complex)
-        anom = np.array(self.anomalous, dtype=complex)
+        lin = np.atleast_1d(readonly_copy(self.linear, complex))
+        herm = np.asarray(self.hermitian, dtype=complex)
+        anom = readonly_copy(self.anomalous, complex)
         d = lin.shape[0]
         if herm.shape != (d, d) or anom.shape != (d, d):
             raise DimensionMismatchError(
                 f"linear part has length {d} but matrices have shapes "
                 f"{herm.shape} and {anom.shape}"
             )
-        herm = hermitian_part(herm)
+        herm = readonly_copy(hermitian_part(herm))
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: refused, not warned about
             if not np.max(np.abs(anom - anom.T), initial=0.0) <= TOL_HERM:
                 raise NotHermitianError("anomalous part must be symmetric")
-        object.__setattr__(self, "linear", _readonly(lin))
-        object.__setattr__(self, "hermitian", _readonly(herm))
-        object.__setattr__(self, "anomalous", _readonly(anom))
+        object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "hermitian", herm)
+        object.__setattr__(self, "anomalous", anom)
 
     @property
     def dimension(self) -> int:
@@ -243,20 +248,16 @@ def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
 
     Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar, InvalidArgumentError
     on a non-finite component, an overflowing sum or an hbar that is not positive and
-    finite, and DimensionMismatchError on empty input.  Components are stored unchanged
-    and read-only: an array of their own is kept and locked, and a view is copied first,
-    since locking it would leave its base writable.
+    finite, and DimensionMismatchError on empty input; the state keeps a copy.
     """
     psi = np.array(components, dtype=complex, copy=None, ndmin=1)
-    if psi.base is not None:
-        psi = psi.copy()
     if psi.ndim != 1 or psi.shape[0] == 0:
         raise DimensionMismatchError("state components must be a nonempty 1-d vector")
     require_positive(hbar, "hbar")
     residual = _squared_norm(psi) - hbar
     if abs(residual) > tol * hbar:
         raise OffShellError(residual)
-    return StateVector(_readonly(psi), float(hbar))
+    return StateVector(psi, float(hbar))
 
 
 def project_to_shell(raw, hbar: float) -> StateVector:
@@ -293,8 +294,7 @@ def canonical_phase(state: StateVector) -> StateVector:
 
     Idempotent, and preserves the shell norm up to a unit-modulus rounding.
     """
-    fixed = phase_fix(state.components)
-    return StateVector(_readonly(fixed), state.hbar)
+    return StateVector(phase_fix(state.components), state.hbar)
 
 
 def states_equal(a: StateVector, b: StateVector, tol: float = TOL_SAME_STATE) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, TOL_RESOLUTION,
-                   HermitianObservable, fro_norm, phase_fix, require_dim)
+                   HermitianObservable, fro_norm, phase_fix, readonly_copy, require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
 JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
@@ -55,6 +55,10 @@ class EigenSystem:
     cluster_values: np.ndarray
     sweeps: int
     rotations: int
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "eigenvectors", "cluster", "cluster_values"):
+            object.__setattr__(self, name, readonly_copy(getattr(self, name)))
 
     @property
     def dimension(self) -> int:
@@ -309,8 +313,6 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
     # pairing is unaffected at that resolution.
     vectors = vectors[:, np.lexsort((np.argmax(np.abs(vectors), axis=0), cluster))]
     cluster_values = np.bincount(cluster, values) / np.bincount(cluster)
-    for array in (values, vectors, cluster, cluster_values):
-        array.setflags(write=False)
     return EigenSystem(values, vectors, cluster, cluster_values, sweeps, rotations)
 
 

@@ -23,7 +23,8 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo, qr_complete, qr_r_raw, qr_reduced
 
 from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, fro_norm,
-                   make_state, project_to_shell, require_dim, require_positive, require_positive_int)
+                   make_state, project_to_shell, readonly_copy, require_dim, require_positive,
+                   require_positive_int)
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
@@ -54,7 +55,7 @@ class AdmissibleSubspace:
 
     def __post_init__(self):
         require_positive_int(self.level, "level")
-        basis = np.asarray(self.basis, dtype=complex)
+        basis = readonly_copy(self.basis, complex)
         if basis.ndim != 2:
             raise DimensionMismatchError("basis must be a 2-d array of column vectors")
         if basis.shape[1] != self.level - 1:
@@ -75,6 +76,7 @@ class AdmissibleSubspace:
 
     @classmethod
     def full_shell(cls, dimension: int) -> "AdmissibleSubspace":
+        require_positive_int(dimension, "dimension")
         return cls(level=1, basis=np.zeros((dimension, 0), dtype=complex))
 
     @classmethod
@@ -93,6 +95,8 @@ class ProbabilityDistribution:
     probabilities: np.ndarray  # in [0, 1], sum 1
 
     def __post_init__(self):
+        object.__setattr__(self, "values", readonly_copy(self.values))
+        object.__setattr__(self, "probabilities", readonly_copy(self.probabilities))
         if self.values.shape != self.probabilities.shape:
             raise DimensionMismatchError("values and probabilities differ in length")
 
@@ -100,9 +104,7 @@ class ProbabilityDistribution:
     def cdf(self) -> np.ndarray:
         """The normalized CDF of `probabilities` that `outcome_index` samples
         from, computed on first use and kept, read-only."""
-        cdf = _normalized_cdf(self.probabilities)
-        cdf.setflags(write=False)
-        return cdf
+        return readonly_copy(_normalized_cdf(self.probabilities))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,30 +136,24 @@ def born_probabilities(
     obs: HermitianObservable, state: StateVector, system: EigenSystem | None = None
 ) -> ProbabilityDistribution:
     """Outcome distribution p = |<a_n|psi>|^2 / hbar, summed over each
-    degeneracy cluster; both of its arrays are read-only.
+    degeneracy cluster.
 
     `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
     a decomposition obtained some other way.  The distribution is memoized
-    on a state whose components are read-only and own their data, as
-    `make_state` and `canonical_phase` make them, keyed on the observable
-    instance and the decomposition, as `eigh` memoizes on the observable: a
-    later call on the same three returns the same distribution, with its
-    CDF, so `mean_value` and `measure` on one state reuse it.  A state built
-    directly on an array that can still change is not memoized.
+    on the state, keyed on the observable instance and the decomposition as
+    `eigh` is keyed on the observable: a later call on the same three
+    returns the same distribution, with its CDF, so `mean_value` and
+    `measure` on one state reuse it.
     """
     require_dim(state.dimension, obs.dimension, "state")
     es = eigh(obs) if system is None else system
-    flags = state.components.flags
-    fixed = flags.owndata and not flags.writeable
-    memo = state.__dict__.get("_born") if fixed else None
+    memo = state.__dict__.get("_born")
     if memo is None or memo[0] is not obs or memo[1] is not es:
         amplitudes = es.eigenvectors.conj().T @ state.components
         weights = np.abs(amplitudes) ** 2 / state.hbar
         probabilities = np.bincount(es.cluster, weights)
-        probabilities.setflags(write=False)
         memo = (obs, es, ProbabilityDistribution(es.cluster_values, probabilities))
-        if fixed:
-            object.__setattr__(state, "_born", memo)
+        object.__setattr__(state, "_born", memo)
     return memo[2]
 
 
@@ -258,7 +254,7 @@ def constrained_min(
     if sub.level > d:
         raise InvalidArgumentError(f"level {sub.level} exceeds dimension {d}")
     # level - 1 < d columns, so the complete QR has more rows than columns;
-    # sub.basis may be a read-only view of a solved spectrum, hence the copy
+    # it overwrites its input and sub.basis is read-only, hence the copy
     q = _orthonormal_columns(sub.basis.copy(), complete=True)[:, sub.level - 1:]
     qh = q.conj().T
     b = qh.dot(obs.matrix).dot(q)

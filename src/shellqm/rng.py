@@ -20,6 +20,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .core import require_positive_int
 from .errors import InvalidArgumentError
 
 RNG_ID = "philox4x64-10"
@@ -54,9 +55,8 @@ def trial_chunks(seed: int, n: int) -> Iterator[np.ndarray]:
     as chunks of TRIAL_CHUNK draws (the last one may be shorter).
 
     Concatenated, elementwise identical to n successive
-    `master_rng(seed).random()` calls.
+    `master_rng(seed).random()` calls; `n` must be a positive integer.
     """
+    require_positive_int(n, "n")
     rng = master_rng(seed)
-    n = int(n)
-    for start in range(0, n, TRIAL_CHUNK):
-        yield rng.random(min(TRIAL_CHUNK, n - start))
+    return (rng.random(min(TRIAL_CHUNK, n - start)) for start in range(0, n, TRIAL_CHUNK))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (TOL_HERM, TOL_SHELL, HermitianObservable, OscillatorParams, StateVector,
-                   hermitian_part, make_state, project_to_shell, require_positive)
+                   hermitian_part, make_state, project_to_shell, readonly_copy, require_positive)
 from .errors import (InvalidArgumentError, OffShellError, ScenarioParseError,
                      ScenarioValidationError)
 from .experiments import MAX_TRIALS
@@ -56,6 +56,8 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("observable_re", "observable_im", "state_re", "state_im"):
+            object.__setattr__(self, name, readonly_copy(getattr(self, name), float))
         m = self.observable_re + 1j * self.observable_im
         obs = HermitianObservable(hermitian_part(m, self.tolerances.get("herm", TOL_HERM)))
         raw = self.state_re + 1j * self.state_im

@@ -8,10 +8,15 @@ import shellqm
 import shellqm.core
 import shellqm.errors
 from shellqm import (
+    AdmissibleSubspace,
+    EigenSystem,
     GeneralQuadraticObservable,
     HermitianObservable,
     OscillatorParams,
     PhaseSpacePoint,
+    ProbabilityDistribution,
+    Scenario,
+    StateVector,
     canonical_phase,
     config_observable,
     eigh,
@@ -93,6 +98,13 @@ class TestMakeState:
         comp = np.array([0.6, 0.8j])
         s = make_state(comp, hbar=1.0)
         assert np.array_equal(s.components, comp)
+
+    def test_the_callers_array_is_copied_not_locked(self):
+        comp = np.array([0.6, 0.8j])
+        s = make_state(comp, hbar=1.0)
+        assert comp.flags.writeable and not np.shares_memory(comp, s.components)
+        comp[:] = [1.0, 0.0]
+        assert s.components.tolist() == [0.6, 0.8j]
 
     def test_writes_through_a_viewed_buffer_do_not_reach_the_state(self):
         buf = np.array([0.6, 0.8j, 5.0])
@@ -330,19 +342,54 @@ class TestGeneralQuadraticObservable:
         with pytest.raises(DimensionMismatchError, match="linear part has length 3"):
             GeneralQuadraticObservable(0.0, np.zeros(3), np.eye(2), np.zeros((2, 2)))
 
-    def test_caller_arrays_stay_writeable_and_unshared(self):
-        lin = np.zeros(2, dtype=complex)
-        herm = np.array([[1, 1j], [-1j, 2]])
-        anom = np.array([[0, 1j], [1j, 0]])
-        gen = GeneralQuadraticObservable(0.0, lin, herm, anom)
-        for given, kept in ((lin, gen.linear), (herm, gen.hermitian), (anom, gen.anomalous)):
-            assert given.flags.writeable
-            assert not np.shares_memory(given, kept)
-            assert not kept.flags.writeable
-
     def test_accepts_finite_parts(self):
         gen = GeneralQuadraticObservable(**self.parts(anomalous=np.array([[0, 1j], [1j, 0]])))
         assert gen.dimension == 2
+
+
+# Each value type that holds arrays, with writable arrays of the dtype it stores
+# (so storing one as given would share it) and its other fields.
+HERM_2 = np.array([[1, 1j], [-1j, 2]])
+VALUE_TYPES = [
+    (PhaseSpacePoint, dict(q=np.array([1.0, 2.0]), p=np.array([0.5, 0.0])), {}),
+    (StateVector, dict(components=np.array([1, 0], dtype=complex)), dict(hbar=1.0)),
+    (HermitianObservable, dict(matrix=HERM_2), {}),
+    (GeneralQuadraticObservable,
+     dict(linear=np.zeros(2, dtype=complex), hermitian=HERM_2,
+          anomalous=np.array([[0, 1j], [1j, 0]])),
+     dict(constant=0.0)),
+    (AdmissibleSubspace, dict(basis=np.array([[1], [0]], dtype=complex)), dict(level=2)),
+    (EigenSystem,
+     dict(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2, dtype=complex),
+          cluster=np.array([0, 1]), cluster_values=np.array([1.0, 2.0])),
+     dict(sweeps=0, rotations=0)),
+    (ProbabilityDistribution,
+     dict(values=np.array([1.0, 2.0]), probabilities=np.array([0.25, 0.75])), {}),
+    (Scenario,
+     dict(observable_re=np.diag([1.0, 2.0]), observable_im=np.zeros((2, 2)),
+          state_re=np.array([1.0, 0.0]), state_im=np.zeros(2)),
+     dict(dimension=2, hbar=1.0, mass=1.0, omega=1.0, normalize=False, seed=0, trials=10)),
+]
+
+
+@pytest.mark.parametrize("cls, arrays, fields", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, *_ in VALUE_TYPES])
+def test_a_value_type_stores_read_only_copies(cls, arrays, fields):
+    given = {name: array.copy() for name, array in arrays.items()}
+    value = cls(**given, **fields)
+    kept = {name: getattr(value, name) for name in given}
+    before = {name: array.copy() for name, array in kept.items()}
+    doc = value.to_dict() if cls is Scenario else None
+    for name, array in given.items():
+        assert array.flags.writeable and not np.shares_memory(array, kept[name])
+        assert not kept[name].flags.writeable
+        with pytest.raises(ValueError):
+            kept[name][...] = 0
+        array[...] = 7
+    for name, array in kept.items():
+        assert array.tobytes() == before[name].tobytes()
+    if doc is not None:
+        assert value.to_dict() == doc
 
 
 class TestThresholdTable:

@@ -54,6 +54,14 @@ class TestRngStreams:
             drawn = np.array([seq.random() for _ in range(n)])
             assert np.array_equal(np.concatenate(chunks), drawn)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, -3, 0, True, np.float64(4.0)])
+    def test_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(InvalidArgumentError, match="n must be a positive integer"):
+            trial_chunks(0, n)
+
+    def test_numpy_integer_count_accepted(self):
+        assert [len(c) for c in trial_chunks(0, np.int64(3))] == [3]
+
     def test_prefix_stability(self):
         longest = np.concatenate(list(trial_chunks(5, 2 * TRIAL_CHUNK + 3)))
         for n in (10, TRIAL_CHUNK + 1):

@@ -157,16 +157,19 @@ class TestBornProbabilities:
             born_probabilities(random_hermitian(3, rng), random_state(2, rng))
 
     @pytest.mark.parametrize("locked", [False, True])
-    def test_a_state_on_an_array_that_can_change_follows_it(self, locked):
-        # a writable array, or a read-only view of one, is not memoized on
+    def test_a_state_built_on_an_array_that_can_change_keeps_a_copy(self, locked):
+        # a writable array, or a read-only view of one: the state copies it,
+        # so its distribution is memoized and does not follow the array
         c = np.array([1, 0], dtype=complex)
         components = c.view()
         components.setflags(write=not locked)
         s = StateVector(components, 1.0)
         obs = config_observable(2)
-        assert born_probabilities(obs, s).probabilities.tolist() == [1.0, 0.0]
+        dist = born_probabilities(obs, s)
         c[:] = [0, 1]
-        assert born_probabilities(obs, s).probabilities.tolist() == [0.0, 1.0]
+        assert born_probabilities(obs, s) is dist
+        assert dist.probabilities.tolist() == [1.0, 0.0]
+        assert s.components.tolist() == [1, 0]
 
     def test_distribution_refuses_misaligned_arrays(self):
         with pytest.raises(DimensionMismatchError, match="differ in length"):
@@ -649,6 +652,11 @@ class TestAdmissibleSubspace:
         sub = AdmissibleSubspace.full_shell(3)
         assert sub.level == 1
         assert sub.basis.shape == (3, 0)
+
+    @pytest.mark.parametrize("dimension", [0, -1, 2.5, 2.0, True, "3"])
+    def test_full_shell_refuses_a_dimension_that_is_not_a_positive_integer(self, dimension):
+        with pytest.raises(InvalidArgumentError, match="dimension must be a positive integer"):
+            AdmissibleSubspace.full_shell(dimension)
 
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError):
