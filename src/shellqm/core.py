@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,7 @@ TOL_MEAN_GUARD = 1e-12   # mean check's rounding guard, relative to the level (a
 TOL_CF = 1e-6            # Courant-Fischer deviation, relative to the level (at least 1)
 TOL_NORM_DRIFT = 1e-9    # shell-norm drift of the exact flow, relative to hbar
 POOL_MIN_EXPECTED = 5.0  # expected count below which chi-square pools, relative to nothing
+MAX_TRIALS = 10**8  # bounds time only (1 to 2 s at d = 2 to 64); run_trials holds one chunk of draws
 
 
 def readonly_copy(x, dtype=None) -> np.ndarray:
@@ -48,6 +49,14 @@ def readonly_copy(x, dtype=None) -> np.ndarray:
     arr = np.array(x, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+class Value:
+    """Base of the value types: a copy or a pickle is rebuilt by the constructor from the
+    fields, so it is admitted again, its arrays are read-only and it carries no memo."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def require_positive(value, name: str) -> None:
@@ -100,7 +109,7 @@ class OscillatorParams:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseSpacePoint:
+class PhaseSpacePoint(Value):
     """Real coordinates and momenta (q_n, p_n) of the oscillator."""
 
     q: np.ndarray
@@ -122,7 +131,7 @@ class PhaseSpacePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Value):
     """Complex state vector on the shell <psi|psi> = hbar.
 
     Instances are produced by `make_state` / `project_to_shell`, which enforce
@@ -177,7 +186,7 @@ def hermitian_part(matrix, tol: float = TOL_HERM) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianObservable:
+class HermitianObservable(Value):
     """Quantum observable: the Hermitian matrix of the form <psi|A|psi>.
 
     The input must be Hermitian within the fixed TOL_HERM (no override reaches it)
@@ -200,7 +209,7 @@ class HermitianObservable:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneralQuadraticObservable:
+class GeneralQuadraticObservable(Value):
     """Quadratic truncation of a real phase-space function: constant + linear
     + Hermitian form + anomalous (conjugate-pair) terms."""
 

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT, HermitianObservable,
-                   StateVector, fro_norm, make_state, require_positive_int)
+from .core import (MAX_TRIALS, POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT,
+                   HermitianObservable, StateVector, fro_norm, make_state, require_positive_int)
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
 from .linalg import eigh
 from .measurement import AdmissibleSubspace, born_probabilities, constrained_min, outcome_counts
 from .phasespace import evaluate_observable
 from .rng import master_rng, trial_chunks
-
-MAX_TRIALS = 10**8  # bounds time only (1 to 2 s at d = 2 to 64); run_trials holds one chunk of draws
 
 # 99.9th percentile of the chi-square distribution, dof 1..32.
 CHI2_999 = {

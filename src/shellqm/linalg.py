@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, TOL_RESOLUTION,
-                   HermitianObservable, fro_norm, phase_fix, readonly_copy, require_dim)
+                   HermitianObservable, Value, fro_norm, phase_fix, readonly_copy, require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
 JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
 
 
 @dataclass(frozen=True, eq=False)
-class EigenSystem:
+class EigenSystem(Value):
     """Spectral decomposition of a Hermitian matrix.
 
     eigenvalues are ascending; column k of `eigenvectors` is the unit-norm

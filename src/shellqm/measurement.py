@@ -22,9 +22,9 @@ from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo, qr_complete, qr_r_raw, qr_reduced
 
-from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, fro_norm,
-                   make_state, project_to_shell, readonly_copy, require_dim, require_positive,
-                   require_positive_int)
+from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, Value,
+                   fro_norm, make_state, project_to_shell, readonly_copy, require_dim,
+                   require_positive, require_positive_int)
 from .errors import (
     DegenerateProjectionUnderflowError,
     DimensionMismatchError,
@@ -41,7 +41,7 @@ PG_RESTARTS = 8
 
 
 @dataclass(frozen=True, eq=False)
-class AdmissibleSubspace:
+class AdmissibleSubspace(Value):
     """Admissible states for measuring level n: shell vectors orthogonal to
     the eigenvectors of the n-1 levels below.
 
@@ -88,7 +88,7 @@ class AdmissibleSubspace:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityDistribution:
+class ProbabilityDistribution(Value):
     """Outcome probabilities over degeneracy clusters, summing to one."""
 
     values: np.ndarray         # representative value per cluster

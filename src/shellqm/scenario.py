@@ -22,25 +22,27 @@ Example document:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TOL_HERM, TOL_SHELL, HermitianObservable, OscillatorParams, StateVector,
-                   hermitian_part, make_state, project_to_shell, readonly_copy, require_positive)
-from .errors import (InvalidArgumentError, OffShellError, ScenarioParseError,
-                     ScenarioValidationError)
-from .experiments import MAX_TRIALS
+from .core import (MAX_TRIALS, TOL_HERM, TOL_SHELL, HermitianObservable, OscillatorParams,
+                   StateVector, Value, hermitian_part, make_state, project_to_shell,
+                   readonly_copy, require_positive)
+from .errors import (InvalidArgumentError, NotHermitianError, OffShellError, ScenarioParseError,
+                     ScenarioValidationError, ZeroVectorError)
 
 KNOWN_TOLERANCES = ("shell", "herm")
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(Value):
     """Validated measurement setup: dimensions, observable, prepared state.
 
-    `tolerances` only decide admission; the core gets the Hermitian part and the on-shell state.
-    Both are admitted when the scenario is built and kept, so every call returns that instance."""
+    However it is built, it makes every field check with the error and message that
+    `parse_scenario` reports.  The core then admits the Hermitian part and the on-shell state
+    (`parse_scenario` reports its refusals as ScenarioValidationError), and both are kept.
+    `tolerances`, a mapping or pairs kept as (name, value) pairs, only decide admission."""
 
     dimension: int
     hbar: float
@@ -53,16 +55,42 @@ class Scenario:
     normalize: bool
     seed: int
     trials: int
-    tolerances: dict = field(default_factory=dict)
+    tolerances: tuple = ()
 
     def __post_init__(self):
-        for name in ("observable_re", "observable_im", "state_re", "state_im"):
-            object.__setattr__(self, name, readonly_copy(getattr(self, name), float))
+        tolerances = dict(self.tolerances)
+        object.__setattr__(self, "tolerances", tuple(tolerances.items()))
+        for key, value in tolerances.items():
+            if key not in KNOWN_TOLERANCES:
+                raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
+            try:
+                require_positive(value, f"tolerance {key!r}")
+            except InvalidArgumentError as exc:
+                raise ScenarioParseError(str(exc)) from None
+        try:
+            OscillatorParams(self.dimension, mass=self.mass, omega=self.omega, hbar=self.hbar)
+        except InvalidArgumentError as exc:
+            raise ScenarioValidationError(str(exc)) from None
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ScenarioValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
+        for name, shape in (("observable", (self.dimension,) * 2), ("state", (self.dimension,))):
+            try:
+                re = readonly_copy(getattr(self, f"{name}_re"), float)
+                im = readonly_copy(getattr(self, f"{name}_im"), float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioParseError(f"field {name!r} is not numeric: {exc}") from None
+            if re.shape != shape or im.shape != shape:
+                raise ScenarioParseError(
+                    f"field {name!r} must have shape {shape}, got re {re.shape} / im {im.shape}")
+            if not (np.isfinite(re).all() and np.isfinite(im).all()):
+                raise ScenarioParseError(f"field {name!r} contains non-finite entries")
+            object.__setattr__(self, f"{name}_re", re)
+            object.__setattr__(self, f"{name}_im", im)
         m = self.observable_re + 1j * self.observable_im
-        obs = HermitianObservable(hermitian_part(m, self.tolerances.get("herm", TOL_HERM)))
+        obs = HermitianObservable(hermitian_part(m, tolerances.get("herm", TOL_HERM)))
         raw = self.state_re + 1j * self.state_im
         if not self.normalize:
-            make_state(raw, self.hbar, tol=self.tolerances.get("shell", TOL_SHELL))
+            make_state(raw, self.hbar, tol=tolerances.get("shell", TOL_SHELL))
         object.__setattr__(self, "_observable", obs)
         object.__setattr__(self, "_state", project_to_shell(raw, self.hbar))
 
@@ -78,10 +106,7 @@ class Scenario:
             "hbar": self.hbar,
             "mass": self.mass,
             "omega": self.omega,
-            "observable": {
-                "re": self.observable_re.tolist(),
-                "im": self.observable_im.tolist(),
-            },
+            "observable": {"re": self.observable_re.tolist(), "im": self.observable_im.tolist()},
             "state": {"re": self.state_re.tolist(), "im": self.state_im.tolist()},
             "normalize": self.normalize,
             "seed": self.seed,
@@ -117,31 +142,19 @@ def _field(doc: dict, name: str, kind, required: bool = True, default=None):
     return value
 
 
-def _complex_parts(doc: dict, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _complex_parts(doc: dict, name: str) -> tuple:
     entry = _field(doc, name, dict)
     for part in ("re", "im"):
         if part not in entry:
             raise ScenarioParseError(f"field {name!r} needs {part!r} array")
-    try:
-        re = np.array(entry["re"], dtype=float)
-        im = np.array(entry["im"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"field {name!r} is not numeric: {exc}") from None
-    if re.shape != shape or im.shape != shape:
-        raise ScenarioParseError(
-            f"field {name!r} must have shape {shape}, got re {re.shape} / im {im.shape}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ScenarioParseError(f"field {name!r} contains non-finite entries")
-    return re, im
+    return entry["re"], entry["im"]
 
 
 def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario:
-    """Parse and fully validate a scenario document.
-
-    `overrides` maps tolerance names to values that replace the document's
-    own `tolerances` entries.  Every tolerance must be a known name with a
-    positive finite value.
+    """Read a scenario document: its JSON, each field's type and default, and the
+    `overrides`, tolerance values that replace the document's own entries.  The
+    `Scenario` built from it checks every value (a tolerance must be a known name
+    with a positive finite value).
 
     ScenarioParseError carries the line/field context of a malformed document;
     ScenarioValidationError flags a well-formed one that violates the model
@@ -168,42 +181,16 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     trials = _field(doc, "trials", int, required=False, default=10000)
     tolerances = {**_field(doc, "tolerances", dict, required=False, default={}),
                   **(overrides or {})}
-    for key, value in tolerances.items():
-        if key not in KNOWN_TOLERANCES:
-            raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
-        try:
-            require_positive(value, f"tolerance {key!r}")
-        except InvalidArgumentError as exc:
-            raise ScenarioParseError(str(exc)) from None
+    obs_re, obs_im = _complex_parts(doc, "observable")
+    state_re, state_im = _complex_parts(doc, "state")
 
     try:
-        OscillatorParams(d, mass=mass, omega=omega, hbar=hbar)
-    except InvalidArgumentError as exc:
-        raise ScenarioValidationError(str(exc)) from None
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ScenarioValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
-
-    obs_re, obs_im = _complex_parts(doc, "observable", (d, d))
-    state_re, state_im = _complex_parts(doc, "state", (d,))
-
-    try:
-        return Scenario(
-            dimension=d,
-            hbar=hbar,
-            mass=mass,
-            omega=omega,
-            observable_re=obs_re,
-            observable_im=obs_im,
-            state_re=state_re,
-            state_im=state_im,
-            normalize=normalize,
-            seed=seed,
-            trials=trials,
-            tolerances=tolerances,
-        )
+        return Scenario(dimension=d, hbar=hbar, mass=mass, omega=omega, observable_re=obs_re,
+                        observable_im=obs_im, state_re=state_re, state_im=state_im,
+                        normalize=normalize, seed=seed, trials=trials, tolerances=tolerances)
     except OffShellError as exc:
         raise ScenarioValidationError(
             f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"
         ) from None
-    except Exception as exc:
+    except (InvalidArgumentError, NotHermitianError, ZeroVectorError) as exc:
         raise ScenarioValidationError(str(exc)) from None

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestParseScenario:
     def test_overrides_replace_document_tolerances(self):
         text = scenario_text(tolerances={"shell": 1e-8, "herm": 1e-9})
         scenario = parse_scenario(text, overrides={"shell": 1e-3})
-        assert scenario.tolerances == {"shell": 1e-3, "herm": 1e-9}
+        assert dict(scenario.tolerances) == {"shell": 1e-3, "herm": 1e-9}
 
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
     def test_trials_above_cap_rejected(self, trials):
@@ -172,6 +173,23 @@ class TestParseScenario:
         parsed = parse_scenario(scenario_text())
         with pytest.raises(OffShellError):
             dataclasses.replace(parsed, normalize=False, state_re=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("edit", [
+        {"dimension": 3}, {"mass": -1.0}, {"omega": float("nan")}, {"trials": 0},
+        {"tolerances": {"bogus": 1.0}}, {"tolerances": {"herm": -1.0}},
+    ], ids=["dimension", "mass", "omega", "trials", "tolerance-name", "tolerance-value"])
+    def test_replace_refused_as_parse_refuses(self, edit):
+        scenario = parse_scenario(EQUAL_Q2.read_text())
+        with pytest.raises((ScenarioParseError, ScenarioValidationError)) as parsed:
+            parse_scenario(json.dumps({**scenario.to_dict(), **edit}))
+        with pytest.raises(parsed.type, match=f"^{re.escape(str(parsed.value))}$"):
+            dataclasses.replace(scenario, **edit)
+
+    def test_tolerances_cannot_change_after_admission(self):
+        scenario = parse_scenario(scenario_text(tolerances={"herm": 1e-9}))
+        with pytest.raises(TypeError):
+            scenario.tolerances["herm"] = 1e-3
+        assert scenario.to_dict()["tolerances"] == {"herm": 1e-9}
 
     def test_round_trip_identity(self):
         scenario = parse_scenario(scenario_text(tolerances={"shell": 1e-8}))

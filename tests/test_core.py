@@ -1,4 +1,7 @@
 import ast
+import copy
+import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from shellqm import (
     ProbabilityDistribution,
     Scenario,
     StateVector,
+    born_probabilities,
     canonical_phase,
     config_observable,
     eigh,
@@ -392,6 +396,50 @@ def test_a_value_type_stores_read_only_copies(cls, arrays, fields):
         assert value.to_dict() == doc
 
 
+def fill_memos(value) -> None:
+    """Compute what the package memoizes on `value`, so a copy could carry it."""
+    if isinstance(value, HermitianObservable):
+        eigh(value)
+    elif isinstance(value, StateVector):
+        born_probabilities(config_observable(value.dimension), value)
+    elif isinstance(value, ProbabilityDistribution):
+        value.cdf
+    elif isinstance(value, Scenario):
+        born_probabilities(value.observable(), value.state())
+
+
+def pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickled])
+@pytest.mark.parametrize("cls, arrays, fields", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, *_ in VALUE_TYPES])
+def test_a_copy_is_admitted_again(cls, arrays, fields, copier):
+    value = cls(**arrays, **fields)
+    fresh = cls(**arrays, **fields)
+    fill_memos(value)
+    twin = copier(value)
+    assert type(twin) is cls
+    for name in arrays:
+        kept, copied = getattr(value, name), getattr(twin, name)
+        assert not copied.flags.writeable and not np.shares_memory(kept, copied)
+        assert copied.tobytes() == kept.tobytes()
+    # no memo travels: the copy holds what a fresh instance holds, none of it the original's
+    assert set(vars(twin)) == set(vars(fresh))
+    for name in set(vars(twin)) - {f.name for f in dataclasses.fields(cls)}:
+        assert vars(twin)[name] is not vars(value)[name]
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, pickled])
+def test_a_copy_is_refused_where_its_constructor_refuses(copier):
+    # a matrix forced past admission is checked again on the way through the copy
+    obs = config_observable(2)
+    object.__setattr__(obs, "matrix", np.array([[1.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(NotHermitianError):
+        copier(obs)
+
+
 class TestThresholdTable:
     """Every threshold is assigned once, in core's table."""
 
@@ -431,6 +479,31 @@ class TestThresholdTable:
                     if not (isinstance(error, type) and issubclass(error, ShellQMError)):
                         others[name, kind] = others.get((name, kind), 0) + 1
         assert others == allowed
+
+    def test_each_module_imports_only_its_listed_siblings(self):
+        # the package imports its own modules relatively; `from . import x`
+        # names the package itself.  The document layer (scenario) stands on
+        # core and errors alone.  A change that adds an edge edits this table.
+        graph = {
+            "__init__": {"core", "dynamics", "experiments", "linalg", "measurement",
+                         "phasespace", "scenario"},
+            "cli": {"__init__", "dynamics", "errors", "experiments", "linalg", "measurement",
+                    "phasespace", "rng", "scenario"},
+            "core": {"errors"},
+            "dynamics": {"core", "errors", "linalg"},
+            "errors": set(),
+            "experiments": {"core", "dynamics", "errors", "linalg", "measurement", "phasespace",
+                            "rng"},
+            "linalg": {"core", "errors"},
+            "measurement": {"core", "errors", "linalg", "rng"},
+            "phasespace": {"core", "errors"},
+            "rng": {"core", "errors"},
+            "scenario": {"core", "errors"},
+        }
+        found = {name.removesuffix(".py"): {node.module or "__init__" for node in ast.walk(tree)
+                                            if isinstance(node, ast.ImportFrom) and node.level}
+                 for name, tree in self.modules().items()}
+        assert found == graph
 
     def test_each_threshold_is_assigned_only_in_core(self):
         assigned = {}

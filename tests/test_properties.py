@@ -4,9 +4,11 @@ the sampler's bincount, chi-square pooling against a
 sorting loop, a minimizer that only descends, form values that are returned
 at every scale, the CLI's exit-code contract over fuzzed scenario documents
 and fuzzed command lines, and loose tolerance overrides that admit a scenario
-and then never fail it."""
+and then never fail it, and one admission path for a scenario however it
+is built."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -21,8 +23,8 @@ import shellqm.measurement
 from shellqm import (AdmissibleSubspace, HermitianObservable, born_probabilities, constrained_min,
                      evaluate_observable, make_state, mean_value, project_to_shell)
 from shellqm.cli import COMMANDS, main
-from shellqm.core import JACOBI_REL_TOL, POOL_MIN_EXPECTED, TOL_SHELL
-from shellqm.errors import NoConvergenceError
+from shellqm.core import JACOBI_REL_TOL, MAX_TRIALS, POOL_MIN_EXPECTED, TOL_SHELL
+from shellqm.errors import NoConvergenceError, ShellQMError
 from shellqm.experiments import _pooled, random_hermitian
 from shellqm.measurement import _normalized_cdf, outcome_counts, outcome_index
 from shellqm.rng import master_rng
@@ -372,3 +374,65 @@ def test_admitted_scenario_runs_under_loose_tolerances(tmp_path_factory, text):
         assert (code, err.getvalue()) == (0, ""), command
         if command == "probs":
             assert abs(sum(json.loads(out.getvalue())["probabilities"]) - 1.0) <= 1e-12
+
+
+# -------------------------------------------------- one admission path
+
+@st.composite
+def edited_documents(draw):
+    """An admissible document's text, the document with one field moved to an
+    edge (or to another admissible value), and `fields(scenario)`, which
+    gives the same edit as keyword arguments of `dataclasses.replace`.
+
+    Every edit is decided by the field checks: no edit reaches the core's
+    admission of the observable and the state, whose refusals `parse_scenario`
+    reports as ScenarioValidationError and a direct build as the core's own
+    error (another hbar would move the state off its shell)."""
+    text = draw(loosely_admitted_documents())
+    doc = json.loads(text)
+    d = doc["dimension"]
+    kind = draw(st.sampled_from(["dimension", "parameter", "trials", "tolerance", "entry"]))
+    if kind != "entry":
+        if kind == "dimension":
+            name, value = "dimension", d + draw(st.sampled_from([-1, 1]))
+        elif kind == "parameter":
+            name = draw(st.sampled_from(["hbar", "mass", "omega"]))
+            value = draw(st.sampled_from([0.0, float("nan")] + [2.0] * (name != "hbar")))
+        elif kind == "trials":
+            name, value = "trials", draw(st.sampled_from([0, 1, MAX_TRIALS, MAX_TRIALS + 1]))
+        else:
+            name = "tolerances"
+            key = draw(st.sampled_from(["shell", "herm", "zero"]))
+            value = {**doc["tolerances"], key: draw(st.sampled_from([0.0, -1e-3, 1e-2]))}
+        doc[name] = value
+        return text, doc, lambda scenario: {name: value}
+    field, part = draw(st.sampled_from(["observable", "state"])), draw(st.sampled_from(["re", "im"]))
+    index = (draw(st.integers(0, d - 1)),) * (2 if field == "observable" else 1)
+    value = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    row = doc[field][part][index[0]] if field == "observable" else doc[field][part]
+    row[index[-1]] = value
+
+    def fields(scenario):
+        array = getattr(scenario, f"{field}_{part}").copy()
+        array[index] = value
+        return {f"{field}_{part}": array}
+    return text, doc, fields
+
+
+def admission(build):
+    """`to_dict()` of the scenario `build` returns, or the type and message of its refusal."""
+    try:
+        return build().to_dict()
+    except ShellQMError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edited_documents())
+def test_parse_and_replace_admit_alike(case):
+    text, doc, fields = case
+    scenario = parse_scenario(text)
+    parsed = admission(lambda: parse_scenario(json.dumps(doc)))
+    assert parsed == admission(lambda: dataclasses.replace(scenario, **fields(scenario)))
+    if isinstance(parsed, dict):
+        assert parse_scenario(json.dumps(parsed)).to_dict() == parsed
