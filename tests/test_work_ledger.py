@@ -13,7 +13,10 @@ after them and is not solved here).
 
 The command line's SHA-256 digests cover the exit code, stdout and stderr of every command
 in both formats on the two committed scenarios and on random ones, so a
-change that means to keep the same bits shows that it does.  Like the
+change that means to keep the same bits shows that it does.  The refusal
+digests cover the same of every command on each edit of `equal_q2` that puts
+one fault in it, so a change to how a scenario is admitted shows whether any
+refusal moved.  Like the
 goldens, the digests (and the minimizer's counts and bits) depend on numpy's build:
 Jacobi's products and the minimizer's 3x3 LAPACK `eigh` round as it does.
 
@@ -116,9 +119,16 @@ def cli_jacobi_work() -> list:
     return work
 
 
+def command_digest(command: str, path: Path, fmt: str) -> str:
+    """SHA-256 of the exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--scenario", str(path), "--format", fmt])
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
 def cli_digests() -> dict:
-    """SHA-256 of the exit code, stdout and stderr of each command and format,
-    keyed "scenario command format"."""
+    """Digests of each command and format, keyed "scenario command format"."""
     digests = {}
     rng = master_rng(CLI_SEED)
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,11 +139,60 @@ def cli_digests() -> dict:
         for name, path in paths.items():
             for command in COMMANDS:
                 for fmt in ("csv", "structured"):
-                    out, err = io.StringIO(), io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(err):
-                        code = main([command, "--scenario", str(path), "--format", fmt])
-                    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
-                    digests[f"{name} {command} {fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+                    digests[f"{name} {command} {fmt}"] = command_digest(command, path, fmt)
+    return digests
+
+
+MISSING = object()  # the edit deletes the field
+OBSERVABLE = {"re": [[1, 0], [0, 2]], "im": [[0, 0], [0, 0]]}
+FAULTS = {  # each edit puts one fault in `equal_q2`
+    "dimension missing": ("dimension", MISSING),
+    "dimension 2.5": ("dimension", 2.5),
+    "dimension true": ("dimension", True),
+    "dimension 0": ("dimension", 0),
+    "dimension 3": ("dimension", 3),
+    "hbar string": ("hbar", "x"),
+    "hbar true": ("hbar", True),
+    "hbar 0": ("hbar", 0),
+    "hbar 10^400": ("hbar", 10**400),
+    "mass -1": ("mass", -1),
+    "omega null": ("omega", None),
+    "trials 0": ("trials", 0),
+    "trials 2.5": ("trials", 2.5),
+    "trials true": ("trials", True),
+    "trials 10^8+1": ("trials", 10**8 + 1),
+    "seed 1.5": ("seed", 1.5),
+    "normalize 1": ("normalize", 1),
+    "tolerances 5": ("tolerances", 5),
+    "tolerances unknown": ("tolerances", {"bogus": 1}),
+    "tolerances negative": ("tolerances", {"herm": -1}),
+    "observable missing": ("observable", MISSING),
+    "observable list": ("observable", OBSERVABLE["re"]),
+    "observable without im": ("observable", {"re": OBSERVABLE["re"]}),
+    "observable wrong shape": ("observable", {"re": [[1, 0, 0]], "im": [[0, 0, 0]]}),
+    "observable non-numeric": ("observable", {**OBSERVABLE, "re": [["a", 0], [0, 2]]}),
+    "observable non-hermitian": ("observable", {**OBSERVABLE, "re": [[1, 1], [0, 2]]}),
+    "observable 1e200": ("observable", {**OBSERVABLE, "re": [[1e200, 0], [0, 2]]}),
+    "state off shell": ("normalize", False),
+    "state zero": ("state", {"re": [0, 0], "im": [0, 0]}),
+    "state 1e300": ("state", {"re": [1e300, 1], "im": [0, 0]}),
+}
+
+
+def refusal_digests() -> dict:
+    """Digests of each command on each one-fault edit of `equal_q2`, keyed "edit command"."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for edit, (name, value) in FAULTS.items():
+            doc = json.loads((SCENARIOS / "equal_q2.json").read_text())
+            if value is MISSING:
+                del doc[name]
+            else:
+                doc[name] = value
+            path = Path(tmp, "scenario.json")
+            path.write_text(json.dumps(doc))
+            for command in COMMANDS:
+                digests[f"{edit} {command}"] = command_digest(command, path, "csv")
     return digests
 
 
@@ -151,7 +210,11 @@ def test_cli_outputs_match_the_ledger():
     assert cli_digests() == json.loads(LEDGER.read_text())["cli"]
 
 
+def test_refusals_match_the_ledger():
+    assert refusal_digests() == json.loads(LEDGER.read_text())["refusals"]
+
+
 if __name__ == "__main__":
-    LEDGER.write_text(json.dumps({**counts(), "cli": cli_digests()}, indent=2, sort_keys=True)
-                      + "\n")
+    ledger = {**counts(), "cli": cli_digests(), "refusals": refusal_digests()}
+    LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
     print(LEDGER.read_text(), end="")
