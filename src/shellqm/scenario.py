@@ -22,7 +22,7 @@ Example document:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,27 +39,34 @@ KNOWN_TOLERANCES = ("shell", "herm")
 class Scenario(Value):
     """Validated measurement setup: dimensions, observable, prepared state.
 
-    However it is built, it makes every field check with the error and message that
-    `parse_scenario` reports.  The core then admits the Hermitian part and the on-shell state
-    (`parse_scenario` reports its refusals as ScenarioValidationError), and both are kept.
-    `tolerances`, a mapping or pairs kept as (name, value) pairs, only decide admission."""
+    However it is built (by `parse_scenario`, directly, by `dataclasses.replace`, as a copy
+    or a pickle), it decides every field's type, default and refusal.  A scalar field takes
+    the JSON type its annotation names (a bool is no number, a number is kept as a float);
+    `tolerances`, a mapping or (name, value) pairs kept as pairs, only decide admission.  The
+    core then admits the Hermitian part and the on-shell state, and both are kept.
+
+    ScenarioParseError flags a field of the wrong type or shape, a non-finite entry or an
+    unknown or non-positive tolerance; ScenarioValidationError a well-typed field that violates
+    the model constraints (non-Hermitian observable, off-shell state without normalize,
+    non-positive dimension/hbar, trials outside 1..MAX_TRIALS)."""
 
     dimension: int
-    hbar: float
-    mass: float
-    omega: float
     observable_re: np.ndarray
     observable_im: np.ndarray
     state_re: np.ndarray
     state_im: np.ndarray
-    normalize: bool
-    seed: int
-    trials: int
+    hbar: float = 1.0
+    mass: float = 1.0
+    omega: float = 1.0
+    normalize: bool = False
+    seed: int = 0
+    trials: int = 10000
     tolerances: tuple = ()
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name), f.type))
         tolerances = dict(self.tolerances)
-        object.__setattr__(self, "tolerances", tuple(tolerances.items()))
         for key, value in tolerances.items():
             if key not in KNOWN_TOLERANCES:
                 raise ScenarioParseError(f"unknown tolerance {key!r} (known: {KNOWN_TOLERANCES})")
@@ -69,30 +76,36 @@ class Scenario(Value):
                 raise ScenarioParseError(str(exc)) from None
         try:
             OscillatorParams(self.dimension, mass=self.mass, omega=self.omega, hbar=self.hbar)
-        except InvalidArgumentError as exc:
+            if not 1 <= self.trials <= MAX_TRIALS:
+                raise ScenarioValidationError(
+                    f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
+            for name, shape in (("observable", (self.dimension,) * 2), ("state", (self.dimension,))):
+                try:
+                    re = readonly_copy(getattr(self, f"{name}_re"), float)
+                    im = readonly_copy(getattr(self, f"{name}_im"), float)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ScenarioParseError(f"field {name!r} is not numeric: {exc}") from None
+                if re.shape != shape or im.shape != shape:
+                    raise ScenarioParseError(
+                        f"field {name!r} must have shape {shape}, got re {re.shape} / im {im.shape}")
+                if not (np.isfinite(re).all() and np.isfinite(im).all()):
+                    raise ScenarioParseError(f"field {name!r} contains non-finite entries")
+                object.__setattr__(self, f"{name}_re", re)
+                object.__setattr__(self, f"{name}_im", im)
+            m = self.observable_re + 1j * self.observable_im
+            obs = HermitianObservable(hermitian_part(m, tolerances.get("herm", TOL_HERM)))
+            raw = self.state_re + 1j * self.state_im
+            if not self.normalize:
+                make_state(raw, self.hbar, tol=tolerances.get("shell", TOL_SHELL))
+            state = project_to_shell(raw, self.hbar)
+        except OffShellError as exc:
+            raise ScenarioValidationError(
+                f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"
+            ) from None
+        except (InvalidArgumentError, NotHermitianError, ZeroVectorError) as exc:
             raise ScenarioValidationError(str(exc)) from None
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ScenarioValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
-        for name, shape in (("observable", (self.dimension,) * 2), ("state", (self.dimension,))):
-            try:
-                re = readonly_copy(getattr(self, f"{name}_re"), float)
-                im = readonly_copy(getattr(self, f"{name}_im"), float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioParseError(f"field {name!r} is not numeric: {exc}") from None
-            if re.shape != shape or im.shape != shape:
-                raise ScenarioParseError(
-                    f"field {name!r} must have shape {shape}, got re {re.shape} / im {im.shape}")
-            if not (np.isfinite(re).all() and np.isfinite(im).all()):
-                raise ScenarioParseError(f"field {name!r} contains non-finite entries")
-            object.__setattr__(self, f"{name}_re", re)
-            object.__setattr__(self, f"{name}_im", im)
-        m = self.observable_re + 1j * self.observable_im
-        obs = HermitianObservable(hermitian_part(m, tolerances.get("herm", TOL_HERM)))
-        raw = self.state_re + 1j * self.state_im
-        if not self.normalize:
-            make_state(raw, self.hbar, tol=tolerances.get("shell", TOL_SHELL))
         object.__setattr__(self, "_observable", obs)
-        object.__setattr__(self, "_state", project_to_shell(raw, self.hbar))
+        object.__setattr__(self, "_state", state)
 
     def observable(self) -> HermitianObservable:
         return self._observable
@@ -117,50 +130,43 @@ class Scenario(Value):
         return doc
 
 
-def _field(doc: dict, name: str, kind, required: bool = True, default=None):
-    if name not in doc:
-        if required:
-            raise ScenarioParseError(f"missing required field {name!r}")
-        return default
-    value = doc[name]
-    if kind is int:
+def _typed(name: str, value, kind: str):
+    """`value` of field `name` if it has the JSON type that its annotation `kind` names (a
+    string: this module's annotations are postponed), a number as a float and tolerances as pairs."""
+    if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioParseError(f"field {name!r} must be an integer, got {value!r}")
-    elif kind is float:
+    elif kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioParseError(f"field {name!r} must be a number, got {value!r}")
         try:
             value = float(value)
         except OverflowError:
             raise ScenarioParseError(f"field {name!r} is beyond the range of a double") from None
-    elif kind is bool:
+    elif kind == "bool":
         if not isinstance(value, bool):
             raise ScenarioParseError(f"field {name!r} must be a boolean, got {value!r}")
-    elif kind is dict:
-        if not isinstance(value, dict):
-            raise ScenarioParseError(f"field {name!r} must be an object, got {value!r}")
+    elif kind == "tuple":
+        try:
+            value = tuple(dict(value).items())
+        except (TypeError, ValueError):
+            raise ScenarioParseError(f"field {name!r} must be an object, got {value!r}") from None
     return value
 
 
-def _complex_parts(doc: dict, name: str) -> tuple:
-    entry = _field(doc, name, dict)
-    for part in ("re", "im"):
-        if part not in entry:
-            raise ScenarioParseError(f"field {name!r} needs {part!r} array")
-    return entry["re"], entry["im"]
+def _object(doc: dict, name: str) -> dict:
+    if name not in doc:
+        raise ScenarioParseError(f"missing required field {name!r}")
+    if not isinstance(doc[name], dict):
+        raise ScenarioParseError(f"field {name!r} must be an object, got {doc[name]!r}")
+    return doc[name]
 
 
 def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario:
-    """Read a scenario document: its JSON, each field's type and default, and the
-    `overrides`, tolerance values that replace the document's own entries.  The
-    `Scenario` built from it checks every value (a tolerance must be a known name
-    with a positive finite value).
-
-    ScenarioParseError carries the line/field context of a malformed document;
-    ScenarioValidationError flags a well-formed one that violates the model
-    constraints (non-Hermitian observable, off-shell state without normalize,
-    non-positive dimension/hbar, trials outside 1..MAX_TRIALS).
-    """
+    """Read a scenario document's structure: its JSON, the presence of `dimension`, and the
+    objects `observable` and `state`, each with `re` and `im` arrays, and `tolerances`, whose
+    entries the `overrides` replace (ScenarioParseError if one is missing or malformed).  The
+    `Scenario` built from the fields present decides their types, defaults and refusals."""
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
     try:
@@ -171,26 +177,18 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
         raise ScenarioParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
+    if "dimension" not in doc:
+        raise ScenarioParseError("missing required field 'dimension'")
 
-    d = _field(doc, "dimension", int)
-    hbar = _field(doc, "hbar", float, required=False, default=1.0)
-    mass = _field(doc, "mass", float, required=False, default=1.0)
-    omega = _field(doc, "omega", float, required=False, default=1.0)
-    normalize = _field(doc, "normalize", bool, required=False, default=False)
-    seed = _field(doc, "seed", int, required=False, default=0)
-    trials = _field(doc, "trials", int, required=False, default=10000)
-    tolerances = {**_field(doc, "tolerances", dict, required=False, default={}),
-                  **(overrides or {})}
-    obs_re, obs_im = _complex_parts(doc, "observable")
-    state_re, state_im = _complex_parts(doc, "state")
-
-    try:
-        return Scenario(dimension=d, hbar=hbar, mass=mass, omega=omega, observable_re=obs_re,
-                        observable_im=obs_im, state_re=state_re, state_im=state_im,
-                        normalize=normalize, seed=seed, trials=trials, tolerances=tolerances)
-    except OffShellError as exc:
-        raise ScenarioValidationError(
-            f"state is off shell (residual {exc.residual:.6g}); set normalize=true to rescale"
-        ) from None
-    except (InvalidArgumentError, NotHermitianError, ZeroVectorError) as exc:
-        raise ScenarioValidationError(str(exc)) from None
+    present = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
+    if "tolerances" in doc:
+        _object(doc, "tolerances")
+    if overrides:
+        present["tolerances"] = {**present.get("tolerances", {}), **overrides}
+    for name in ("observable", "state"):
+        entry = _object(doc, name)
+        for part in ("re", "im"):
+            if part not in entry:
+                raise ScenarioParseError(f"field {name!r} needs {part!r} array")
+            present[f"{name}_{part}"] = entry[part]
+    return Scenario(**present)

@@ -16,7 +16,7 @@ import shellqm.rng
 import shellqm.scenario
 from shellqm.cli import COMMANDS, MAX_SAMPLES, main
 from shellqm.core import TOL_HERM, TOL_SHELL
-from shellqm.errors import OffShellError, ScenarioParseError, ScenarioValidationError
+from shellqm.errors import ScenarioParseError, ScenarioValidationError
 from shellqm.experiments import MAX_TRIALS, random_hermitian, random_state
 from shellqm.rng import master_rng
 from shellqm.scenario import parse_scenario
@@ -171,18 +171,42 @@ class TestParseScenario:
 
     def test_direct_off_shell_state_refused_when_built(self):
         parsed = parse_scenario(scenario_text())
-        with pytest.raises(OffShellError):
+        message = "state is off shell (residual 1); set normalize=true to rescale"
+        with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(scenario_text(normalize=False))
+        with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(parsed, normalize=False, state_re=np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("edit", [
         {"dimension": 3}, {"mass": -1.0}, {"omega": float("nan")}, {"trials": 0},
         {"tolerances": {"bogus": 1.0}}, {"tolerances": {"herm": -1.0}},
-    ], ids=["dimension", "mass", "omega", "trials", "tolerance-name", "tolerance-value"])
+        {"trials": 2.5}, {"seed": 1.5}, {"normalize": "no"}, {"trials": True},
+        {"tolerances": 5}, {"hbar": True}, {"normalize": False},
+        {"observable_re": [[1, 1], [0, 2]]}, {"state_re": [0, 0]},
+    ], ids=["dimension", "mass", "omega", "trials", "tolerance-name", "tolerance-value",
+            "trials-float", "seed-float", "normalize-string", "trials-bool", "tolerances-number",
+            "hbar-bool", "off-shell", "non-hermitian", "zero-state"])
     def test_replace_refused_as_parse_refuses(self, edit):
+        # an array edit `<field>_<part>` replaces that part of the document's field
         scenario = parse_scenario(EQUAL_Q2.read_text())
+        doc = scenario.to_dict()
+        for key, value in edit.items():
+            name, _, part = key.partition("_")
+            doc[name] = {**doc[name], part: value} if part else value
         with pytest.raises((ScenarioParseError, ScenarioValidationError)) as parsed:
-            parse_scenario(json.dumps({**scenario.to_dict(), **edit}))
+            parse_scenario(json.dumps(doc))
         with pytest.raises(parsed.type, match=f"^{re.escape(str(parsed.value))}$"):
+            dataclasses.replace(scenario, **edit)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": np.int64(3)}, "field 'seed' must be an integer, got np.int64(3)"),
+        ({"hbar": np.float32(1.0)}, "field 'hbar' must be a number, got np.float32(1.0)"),
+        ({"normalize": np.True_}, "field 'normalize' must be a boolean, got np.True_"),
+    ], ids=["int64", "float32", "bool_"])
+    def test_replace_refuses_a_type_json_has_not(self, edit, message):
+        # JSON yields int, float and bool, so no document holds these values
+        scenario = parse_scenario(EQUAL_Q2.read_text())
+        with pytest.raises(ScenarioParseError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(scenario, **edit)
 
     def test_tolerances_cannot_change_after_admission(self):

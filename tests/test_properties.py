@@ -381,23 +381,31 @@ def test_admitted_scenario_runs_under_loose_tolerances(tmp_path_factory, text):
 @st.composite
 def edited_documents(draw):
     """An admissible document's text, the document with one field moved to an
-    edge (or to another admissible value), and `fields(scenario)`, which
-    gives the same edit as keyword arguments of `dataclasses.replace`.
+    edge, to another JSON type or to another admissible value, and
+    `fields(scenario)`, which gives the same edit as keyword arguments of
+    `dataclasses.replace`.
 
-    Every edit is decided by the field checks: no edit reaches the core's
-    admission of the observable and the state, whose refusals `parse_scenario`
-    reports as ScenarioValidationError and a direct build as the core's own
-    error (another hbar would move the state off its shell)."""
+    Some edits reach the core's admission of the observable and the state:
+    another hbar or a finite entry can move the state off its shell, an
+    imaginary diagonal entry makes the observable non-Hermitian, and a zero
+    state is off the shell or, with normalize, cannot be projected onto it."""
     text = draw(loosely_admitted_documents())
     doc = json.loads(text)
     d = doc["dimension"]
-    kind = draw(st.sampled_from(["dimension", "parameter", "trials", "tolerance", "entry"]))
-    if kind != "entry":
+    kind = draw(st.sampled_from(["dimension", "parameter", "type", "trials", "tolerance",
+                                 "entry", "zero state"]))
+    if kind not in ("entry", "zero state"):
         if kind == "dimension":
             name, value = "dimension", d + draw(st.sampled_from([-1, 1]))
         elif kind == "parameter":
             name = draw(st.sampled_from(["hbar", "mass", "omega"]))
-            value = draw(st.sampled_from([0.0, float("nan")] + [2.0] * (name != "hbar")))
+            value = draw(st.sampled_from([0.0, float("nan"), 2.0]))
+        elif kind == "type":
+            name, values = draw(st.sampled_from(
+                [(int_field, [2.5, True]) for int_field in ("dimension", "seed", "trials")]
+                + [(float_field, [True, "x"]) for float_field in ("hbar", "mass", "omega")]
+                + [("normalize", [1])]))
+            value = draw(st.sampled_from(values))
         elif kind == "trials":
             name, value = "trials", draw(st.sampled_from([0, 1, MAX_TRIALS, MAX_TRIALS + 1]))
         else:
@@ -406,9 +414,14 @@ def edited_documents(draw):
             value = {**doc["tolerances"], key: draw(st.sampled_from([0.0, -1e-3, 1e-2]))}
         doc[name] = value
         return text, doc, lambda scenario: {name: value}
+    if kind == "zero state":
+        normalize = draw(st.booleans())
+        doc.update(normalize=normalize, state={"re": [0.0] * d, "im": [0.0] * d})
+        return text, doc, lambda scenario: {"normalize": normalize, "state_re": np.zeros(d),
+                                            "state_im": np.zeros(d)}
     field, part = draw(st.sampled_from(["observable", "state"])), draw(st.sampled_from(["re", "im"]))
     index = (draw(st.integers(0, d - 1)),) * (2 if field == "observable" else 1)
-    value = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    value = draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1.0]))
     row = doc[field][part][index[0]] if field == "observable" else doc[field][part]
     row[index[-1]] = value
 
