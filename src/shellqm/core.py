@@ -62,10 +62,13 @@ class Value:
 def require_positive(value, name: str) -> None:
     """Refuse a `value` that is not a positive finite real number (a bool is not
     one): the package's one rule for hbar, mass, omega, tolerances and step sizes."""
-    # a float is a Real and no bool, so it skips those checks, the costly part
-    if (type(value) is not float
-            and (isinstance(value, bool) or not isinstance(value, numbers.Real))
-            or not 0 < value <= sys.float_info.max):  # NaN fails too
+    number = value
+    if type(value) is not float:  # a float is a Real and no bool: it skips the costly checks
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            number = math.nan
+        elif isinstance(value, (np.float16, np.float32)):  # the bound cast to either overflows
+            number = float(value)
+    if not 0 < number <= sys.float_info.max:  # NaN fails too
         raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
 
 

@@ -28,6 +28,7 @@ from shellqm import (
     project_to_shell,
     states_equal,
 )
+from shellqm.core import require_positive
 from shellqm.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -65,6 +66,25 @@ class TestOscillatorParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             OscillatorParams(**kwargs)
+
+    @pytest.mark.parametrize("value, admitted", [
+        (np.float16(2.0), True), (np.float32(2.0), True), (np.float64(2.0), True),
+        (np.longdouble(2.0), True), (np.int8(2), True), (10**400, False),
+        (np.float32(np.inf), False), (np.longdouble("1e400"), False),
+    ], ids=["float16", "float32", "float64", "longdouble", "int8", "1e400", "float32-inf",
+            "longdouble-1e400"])
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalars_checked_without_a_warning(self, value, admitted):
+        # the bound compared in a float16 or float32 would overflow to inf, with a warning
+        checks = (lambda: require_positive(value, "hbar"),
+                  lambda: OscillatorParams(2, mass=value),
+                  lambda: make_state(np.array([1.0, 1.0]), value))
+        for check in checks:
+            if admitted:
+                check()
+            else:
+                with pytest.raises(InvalidArgumentError, match="positive finite number"):
+                    check()
 
 
 class TestPhaseSpacePoint:
