@@ -47,8 +47,8 @@ class Scenario(Value):
 
     ScenarioParseError flags a field of the wrong type or shape, a non-finite entry or an
     unknown or non-positive tolerance; ScenarioValidationError a well-typed field that violates
-    the model constraints (non-Hermitian observable, off-shell state without normalize,
-    non-positive dimension/hbar, trials outside 1..MAX_TRIALS)."""
+    the model constraints (non-Hermitian observable, off-shell state without normalize, zero
+    state, non-positive dimension/hbar/mass/omega, trials outside 1..MAX_TRIALS)."""
 
     dimension: int
     observable_re: np.ndarray
