@@ -52,8 +52,8 @@ def readonly_copy(x, dtype=None) -> np.ndarray:
 
 
 class Value:
-    """Base of the value types: a copy or a pickle is rebuilt by the constructor from the
-    fields, so it is admitted again, its arrays are read-only and it carries no memo."""
+    """Base of the value types: a copy or a pickle is rebuilt by the constructor from the fields,
+    so it is admitted again (a state on its shell), read-only and without a memo."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -135,25 +135,33 @@ class PhaseSpacePoint(Value):
 
 @dataclass(frozen=True, eq=False)
 class StateVector(Value):
-    """Complex state vector on the shell <psi|psi> = hbar.
-
-    Instances are produced by `make_state` / `project_to_shell`, which enforce
-    the shell constraint.  Compare with `states_equal`, never `==`: vectors
-    differing by a pure phase are the same state.
-    """
+    """Complex state vector on the shell <psi|psi> = hbar, however it is built: the constructor
+    admits a nonempty 1-d vector (a scalar is a 1-vector) of finite components whose squared
+    norm, for a positive finite hbar, does not overflow and lies within RK4_SHELL_TOL*hbar of it,
+    the loosest bound of any state the package keeps (`make_state` holds its own to TOL_SHELL).
+    Compare with `states_equal`, never `==`: vectors differing by a pure phase are one state."""
 
     components: np.ndarray
     hbar: float
 
     def __post_init__(self):
-        object.__setattr__(self, "components", readonly_copy(self.components, complex))
+        psi = np.atleast_1d(readonly_copy(self.components, complex))
+        if psi.ndim != 1 or psi.shape[0] == 0:
+            raise DimensionMismatchError("state components must be a nonempty 1-d vector")
+        require_positive(self.hbar, "hbar")
+        hbar, norm_sq = float(self.hbar), _squared_norm(psi)
+        if abs(norm_sq - hbar) > RK4_SHELL_TOL * hbar:
+            raise OffShellError(norm_sq - hbar)
+        object.__setattr__(self, "components", psi)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "_norm_sq", norm_sq)
 
     @property
     def dimension(self) -> int:
         return self.components.shape[0]
 
     def norm_squared(self) -> float:
-        return _squared_norm(self.components)
+        return self._norm_sq
 
 
 def fro_norm(x: np.ndarray) -> float:
@@ -255,21 +263,18 @@ def _squared_norm(psi: np.ndarray) -> float:
     return norm_sq
 
 
-def make_state(components, hbar: float, tol: float = TOL_SHELL) -> StateVector:
-    """Validate `components` against the shell norm and wrap as a StateVector.
+def make_state(components, hbar: float) -> StateVector:
+    """Admit `components` as a StateVector (which keeps a copy) held to the shell at TOL_SHELL.
 
-    Raises OffShellError when |sum |psi_n|^2 - hbar| > tol*hbar, InvalidArgumentError
-    on a non-finite component, an overflowing sum or an hbar that is not positive and
-    finite, and DimensionMismatchError on empty input; the state keeps a copy.
+    Raises OffShellError when |sum |psi_n|^2 - hbar| > TOL_SHELL*hbar, and the constructor's
+    refusals: InvalidArgumentError on a non-finite component, an overflowing sum or an hbar
+    that is not positive and finite, DimensionMismatchError on empty input.
     """
-    psi = np.array(components, dtype=complex, copy=None, ndmin=1)
-    if psi.ndim != 1 or psi.shape[0] == 0:
-        raise DimensionMismatchError("state components must be a nonempty 1-d vector")
-    require_positive(hbar, "hbar")
-    residual = _squared_norm(psi) - hbar
-    if abs(residual) > tol * hbar:
+    state = StateVector(components, hbar)
+    residual = state.norm_squared() - state.hbar
+    if abs(residual) > TOL_SHELL * state.hbar:
         raise OffShellError(residual)
-    return StateVector(psi, float(hbar))
+    return state
 
 
 def project_to_shell(raw, hbar: float) -> StateVector:

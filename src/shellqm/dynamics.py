@@ -69,8 +69,8 @@ def flow_numeric(
     blocks: the block's states are one batched product of the powers with the
     state it starts from, and the last carries on to the next block.  Every
     step's state is checked against the shell at RK4_SHELL_TOL, so drift
-    raises even mid-block: a norm screen at half that bound passes a state,
-    and `make_state` decides, in step order, every state the screen does not.
+    raises even mid-block: a norm screen at half that bound passes a state, and
+    the `StateVector` constructor decides, in step order, every state it does not.
     Powers past the first that leaves the float range are not used (a mode
     the state does not occupy may outgrow it), so a block is then shorter.
     Only the endpoints are kept.
@@ -103,10 +103,10 @@ def flow_numeric(
             parts = states.view(float)
             dev = np.abs(np.add.reduce(parts * parts, axis=1) - hbar)
             if not np.maximum.reduce(dev) <= screen:  # NaN fails: only then mask and decide
-                for off in states[~(dev <= screen)]:
-                    make_state(off, hbar, tol=RK4_SHELL_TOL)
+                for off in states[~(dev <= screen)]:  # refused beyond RK4_SHELL_TOL
+                    StateVector(off, hbar)
             psi = states[-1]
-    return Trajectory(np.array([0.0, t]), (psi0, make_state(psi, hbar, tol=RK4_SHELL_TOL)))
+    return Trajectory(np.array([0.0, t]), (psi0, StateVector(psi, hbar)))
 
 
 def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (MAX_TRIALS, TOL_HERM, TOL_SHELL, HermitianObservable, OscillatorParams,
-                   StateVector, Value, hermitian_part, make_state, project_to_shell,
+                   StateVector, Value, _squared_norm, hermitian_part, project_to_shell,
                    readonly_copy, require_positive)
 from .errors import (InvalidArgumentError, NotHermitianError, OffShellError, ScenarioParseError,
                      ScenarioValidationError, ZeroVectorError)
@@ -95,8 +95,10 @@ class Scenario(Value):
             m = self.observable_re + 1j * self.observable_im
             obs = HermitianObservable(hermitian_part(m, tolerances.get("herm", TOL_HERM)))
             raw = self.state_re + 1j * self.state_im
-            if not self.normalize:
-                make_state(raw, self.hbar, tol=tolerances.get("shell", TOL_SHELL))
+            if not self.normalize:  # the shell override decides; the state kept is projected
+                residual = _squared_norm(raw) - self.hbar
+                if abs(residual) > tolerances.get("shell", TOL_SHELL) * self.hbar:
+                    raise OffShellError(residual)
             state = project_to_shell(raw, self.hbar)
         except OffShellError as exc:
             raise ScenarioValidationError(

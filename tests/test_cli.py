@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellqm
+import shellqm.dynamics
 import shellqm.experiments
 import shellqm.rng
 import shellqm.scenario
@@ -306,6 +307,18 @@ class TestDispatch:
         names = [r["name"] for r in doc["reports"]]
         assert names == ["mean-proportionality", "chi-square", "courant-fischer", "norm-conservation"]
         assert doc["meta"]["rng"] == "philox4x64-10"
+
+    def test_verify_fails_the_norm_report_on_a_drifting_flow(self, tmp_path, monkeypatch):
+        # a propagator scaled by 1 + 5e-9 moves the norm by 1e-8 hbar, past flow's TOL_SHELL
+        # and the report's TOL_NORM_DRIFT: the report fails, verify does not error
+        exact = shellqm.dynamics.unitary_propagator
+        monkeypatch.setattr(shellqm.dynamics, "unitary_propagator",
+                            lambda a, t: exact(a, t) * (1 + 5e-9))
+        code, _ = self.run(tmp_path, "verify", "--scenario", str(EQUAL_Q2), "--out", str(tmp_path))
+        assert code == 1
+        reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+        assert [r["name"] for r in reports if not r["passed"]] == ["norm-conservation"]
+        assert reports[-1]["statistic"] == pytest.approx(1e-8, rel=1e-6)
 
     def test_verify_byte_identical_reruns(self, tmp_path):
         scen = self.write_scenario(tmp_path, trials=5000)

@@ -23,8 +23,12 @@ from shellqm import (
     born_probabilities,
     canonical_phase,
     config_observable,
+    constrained_min,
     eigh,
+    flow,
+    flow_numeric,
     make_state,
+    measure,
     project_to_shell,
     states_equal,
 )
@@ -38,7 +42,7 @@ from shellqm.errors import (
     ZeroVectorError,
 )
 
-from conftest import check_hermitian, random_state
+from conftest import check_hermitian, random_hermitian, random_state
 
 
 class TestOscillatorParams:
@@ -452,12 +456,76 @@ def test_a_copy_is_admitted_again(cls, arrays, fields, copier):
 
 
 @pytest.mark.parametrize("copier", [copy.deepcopy, pickled])
-def test_a_copy_is_refused_where_its_constructor_refuses(copier):
-    # a matrix forced past admission is checked again on the way through the copy
-    obs = config_observable(2)
-    object.__setattr__(obs, "matrix", np.array([[1.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(NotHermitianError):
-        copier(obs)
+@pytest.mark.parametrize("value, name, forged, error", [
+    (config_observable(2), "matrix", np.array([[1.0, 1.0], [0.0, 2.0]]), NotHermitianError),
+    (make_state([1, 0], 1.0), "components", np.array([1.0, 1.0]), OffShellError),
+], ids=["observable", "state"])
+def test_a_copy_is_refused_where_its_constructor_refuses(copier, value, name, forged, error):
+    # a field forced past admission is checked again on the way through the copy
+    value = copy.copy(value)
+    object.__setattr__(value, name, forged)
+    with pytest.raises(error):
+        copier(value)
+
+
+# Inputs that make_state refuses, as (components, hbar): off the shell, a non-finite
+# entry, a negative hbar, no entry, a matrix, and a squared norm that overflows.
+REFUSED_STATES = {
+    "off-shell": ([1, 1], 1.0),
+    "nan": ([np.nan, 1], 1.0),
+    "negative-hbar": ([1, 0], -1.0),
+    "empty": ([], 1.0),
+    "matrix": (np.eye(2), 1.0),
+    "overflow": ([1e200, 1e200], 1.0),
+}
+
+
+def replaced_state(components, hbar):
+    return dataclasses.replace(make_state([1, 0], 1.0), components=components, hbar=hbar)
+
+
+@pytest.mark.parametrize("build", [StateVector, replaced_state], ids=["direct", "replace"])
+@pytest.mark.parametrize("components, hbar", REFUSED_STATES.values(), ids=REFUSED_STATES.keys())
+def test_a_state_is_refused_as_make_state_refuses(build, components, hbar):
+    with pytest.raises(ShellQMError) as want:
+        make_state(components, hbar)
+    with pytest.raises(ShellQMError) as got:
+        build(components, hbar)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def scenario_state(d, rng):
+    obs = random_hermitian(d, rng)
+    raw = rng.normal(size=d)
+    return Scenario(d, obs.matrix.real, obs.matrix.imag, raw, np.zeros(d), normalize=True).state()
+
+
+# Every way the package returns a state, each given a dimension and a generator.
+RETURNED_STATES = {
+    "make_state": lambda d, rng: make_state(random_state(d, rng, 2.5).components, 2.5),
+    "project_to_shell": lambda d, rng: project_to_shell(rng.normal(size=d) + 1j, 0.5),
+    "canonical_phase": lambda d, rng: canonical_phase(random_state(d, rng, 3.0)),
+    "random_state": lambda d, rng: random_state(d, rng, 1e-3),
+    "flow": lambda d, rng: flow(random_hermitian(d, rng), random_state(d, rng, 2.0), 7.3),
+    "flow_numeric": lambda d, rng: flow_numeric(
+        random_hermitian(d, rng), random_state(d, rng), 1.0, steps=200).final,
+    "measure": lambda d, rng: measure(random_hermitian(d, rng), random_state(d, rng), rng).post_state,
+    "constrained_min": lambda d, rng: constrained_min(
+        random_hermitian(d, rng), AdmissibleSubspace.for_level(eigh(config_observable(d)), 2),
+        seed=3, hbar=1.5).argmin,
+    "Scenario.state": scenario_state,
+}
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, pickled])
+@pytest.mark.parametrize("produce", RETURNED_STATES.values(), ids=RETURNED_STATES.keys())
+def test_every_returned_state_survives_a_copy(produce, copier):
+    rng = np.random.default_rng(20261021)
+    for d in range(2, 9):
+        state = produce(d, rng)
+        twin = copier(state)
+        assert twin.components.tobytes() == state.components.tobytes()
+        assert twin.hbar == state.hbar and twin.norm_squared() == state.norm_squared()
 
 
 class TestThresholdTable:

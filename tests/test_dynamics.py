@@ -210,7 +210,7 @@ class TestFlowNumeric:
     def test_every_state_of_a_block_is_checked(self):
         # weights chosen so that 128 unit steps return the norm to the shell;
         # steps 21 to 41 drift between half the tolerance and the tolerance,
-        # so the screen flags them and make_state accepts them, step 33 among
+        # so the screen flags them and StateVector admits them, step 33 among
         # them, the first of the second block; step 42, later in that block,
         # is the first beyond the tolerance
         tol, steps = RK4_SHELL_TOL, 128
@@ -244,7 +244,7 @@ class TestFlowNumeric:
     @pytest.mark.parametrize("y, passes", [(0.2, True), (0.21, False)])
     def test_step_drift_is_judged_at_the_shell_tolerance(self, y, passes):
         # one step loses 1 - r(y): 8.8e-7 at y = 0.2, between the screen's
-        # half bound and RK4_SHELL_TOL, so make_state must accept it; 1.2e-6
+        # half bound and RK4_SHELL_TOL, so StateVector must admit it; 1.2e-6
         # at y = 0.21, beyond the bound
         drift = 1.0 - rk4_norm_factor(y)
         assert (drift <= RK4_SHELL_TOL) == passes and drift > 0.5 * RK4_SHELL_TOL
