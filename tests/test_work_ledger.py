@@ -16,7 +16,9 @@ in both formats on the two committed scenarios and on random ones, so a
 change that means to keep the same bits shows that it does.  The refusal
 digests cover the same of every command on each edit of `equal_q2` that puts
 one fault in it, so a change to how a scenario is admitted shows whether any
-refusal moved.  Like the
+refusal moved.  The option digests cover the same of every command on `equal_q2`
+with one option at or past its edge, or with a one-fault edit that an option
+replaces, so a change to how options are admitted shows whether any moved.  Like the
 goldens, the digests (and the minimizer's counts and bits) depend on numpy's build:
 Jacobi's products and the minimizer's 3x3 LAPACK `eigh` round as it does.
 
@@ -119,11 +121,11 @@ def cli_jacobi_work() -> list:
     return work
 
 
-def command_digest(command: str, path: Path, fmt: str) -> str:
+def command_digest(command: str, path: Path, fmt: str, options: tuple = ()) -> str:
     """SHA-256 of the exit code, stdout and stderr of one command."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--scenario", str(path), "--format", fmt])
+        code = main([command, "--scenario", str(path), "--format", fmt, *options])
     return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
 
 
@@ -179,21 +181,61 @@ FAULTS = {  # each edit puts one fault in `equal_q2`
 }
 
 
-def refusal_digests() -> dict:
-    """Digests of each command on each one-fault edit of `equal_q2`, keyed "edit command"."""
+OPTION_FAULTS = {  # each puts one option at or past its edge, or replaces a faulty field
+    "--trials 0": (None, ("--trials", "0")),
+    "--trials 10^8+1": (None, ("--trials", str(10**8 + 1))),
+    "--trials 10^400": (None, ("--trials", str(10**400))),
+    "--trials junk": (None, ("--trials", "junk")),
+    "--seed junk": (None, ("--seed", "junk")),
+    "--seed 1.5": (None, ("--seed", "1.5")),
+    "--tol shell=nan": (None, ("--tol", "shell=nan")),
+    "--tol zero=1e-12": (None, ("--tol", "zero=1e-12")),
+    "--tol repeated": (None, ("--tol", "shell=1e-3", "--tol", "shell=1e-3")),
+    "--tol without =": (None, ("--tol", "shell")),
+    "--samples 0": (None, ("--samples", "0")),
+    "--samples 100001": (None, ("--samples", "100001")),
+    "--time nan": (None, ("--time", "nan")),
+    "--time=1e308": (None, ("--time=1e308",)),
+    "trials 0 --trials 100": (FAULTS["trials 0"], ("--trials", "100")),
+    "seed 1.5 --seed 3": (FAULTS["seed 1.5"], ("--seed", "3")),
+    "shell -1 --tol shell=1e-3": (("tolerances", {"shell": -1}), ("--tol", "shell=1e-3")),
+}
+
+
+def edited(tmp: str, edit: tuple | None) -> Path:
+    """`equal_q2` written under `tmp`, with an `edit` (name, value) that sets
+    or, for MISSING, deletes one field."""
+    doc = json.loads((SCENARIOS / "equal_q2.json").read_text())
+    if edit is not None:
+        name, value = edit
+        if value is MISSING:
+            del doc[name]
+        else:
+            doc[name] = value
+    path = Path(tmp, "scenario.json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def case_digests(cases: dict) -> dict:
+    """Digests of each command in each case, an (edit, options) pair, keyed "case command"."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for edit, (name, value) in FAULTS.items():
-            doc = json.loads((SCENARIOS / "equal_q2.json").read_text())
-            if value is MISSING:
-                del doc[name]
-            else:
-                doc[name] = value
-            path = Path(tmp, "scenario.json")
-            path.write_text(json.dumps(doc))
+        for key, (edit, options) in cases.items():
+            path = edited(tmp, edit)
             for command in COMMANDS:
-                digests[f"{edit} {command}"] = command_digest(command, path, "csv")
+                digests[f"{key} {command}"] = command_digest(command, path, "csv", options)
     return digests
+
+
+def refusal_digests() -> dict:
+    """Digests of each command on each one-fault edit of `equal_q2`, keyed "edit command"."""
+    return case_digests({key: (edit, ()) for key, edit in FAULTS.items()})
+
+
+def option_digests() -> dict:
+    """Digests of each command under each entry of OPTION_FAULTS, keyed "entry command"."""
+    return case_digests(OPTION_FAULTS)
 
 
 def counts() -> dict:
@@ -214,7 +256,12 @@ def test_refusals_match_the_ledger():
     assert refusal_digests() == json.loads(LEDGER.read_text())["refusals"]
 
 
+def test_options_match_the_ledger():
+    assert option_digests() == json.loads(LEDGER.read_text())["options"]
+
+
 if __name__ == "__main__":
-    ledger = {**counts(), "cli": cli_digests(), "refusals": refusal_digests()}
+    ledger = {**counts(), "cli": cli_digests(), "refusals": refusal_digests(),
+              "options": option_digests()}
     LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
     print(LEDGER.read_text(), end="")
