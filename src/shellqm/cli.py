@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dynamics import flow
 from .errors import InvalidArgumentError, ShellQMError
-from .experiments import MAX_TRIALS, run_trials, verification_suite
+from .experiments import run_trials, verification_suite
 from .linalg import eigh
 from .measurement import born_probabilities, mean_value
 from .phasespace import evaluate_observable
@@ -34,15 +34,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _meta(scenario: Scenario, seed: int, trials: int) -> dict:
+def _meta(scenario: Scenario) -> dict:
     return {
         "artifact": "shellqm",
         "version": __version__,
         "rng": RNG_ID,
-        "seed": seed,
+        "seed": scenario.seed,
         "hbar": scenario.hbar,
         "dimension": scenario.dimension,
-        "trials": trials,
+        "trials": scenario.trials,
     }
 
 
@@ -71,11 +71,9 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
 
 def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
     """Run one subcommand against a parsed scenario; returns the exit status."""
-    seed = scenario.seed if args.seed is None else args.seed
-    trials = scenario.trials if args.trials is None else args.trials
     obs = scenario.observable()
     state = scenario.state()
-    meta = _meta(scenario, seed, trials)
+    meta = _meta(scenario)
     structured = args.format == "structured"
 
     if command == "spectrum":
@@ -114,7 +112,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
             rows = [[t, *np.column_stack((e.components.real, e.components.imag)).ravel().tolist(),
                      e.norm_squared() - state.hbar] for t, e in evolved]
     elif command == "sample":
-        table = run_trials(obs, state, trials, seed)
+        table = run_trials(obs, state, scenario.trials, scenario.seed)
         header = ["outcome", "count", "frequency", "reference"]
         rows = [
             [float(table.values[k]), int(table.counts[k]),
@@ -124,7 +122,7 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
         payload = {"values": table.values, "counts": table.counts,
                    "frequencies": table.frequencies, "reference": table.reference}
     elif command == "verify":
-        reports = verification_suite(obs, state, trials, seed)
+        reports = verification_suite(obs, state, scenario.trials, scenario.seed)
         payload = {"reports": [dataclasses.asdict(r) for r in reports],
                    "passed": all(r.passed for r in reports)}
         _emit(_json_text(meta, payload), args.out, "verify.json")
@@ -152,8 +150,6 @@ def _parse_tol(pairs: list[str]) -> dict:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
-        raise InvalidArgumentError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise InvalidArgumentError(f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}")
     if not np.isfinite(args.time):
@@ -172,12 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--trials", type=int, default=None, help="override the scenario trials")
+    parser.add_argument("--seed", type=int, default=None, help="replace the scenario's seed")
+    parser.add_argument("--trials", type=int, default=None, help="replace the scenario's trials")
     parser.add_argument("--out", default=None, help="directory for emitted files (default: stdout)")
     parser.add_argument("--format", choices=("csv", "structured"), default="csv")
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                        help="tolerance override, each NAME at most once")
+                        help="replace the scenario's tolerance NAME, each NAME at most once")
     parser.add_argument("--time", type=float, default=2.0 * np.pi,
                         help="flow parameter span for evolve; a negative value with an "
                              "exponent is written --time=-1e308")
@@ -193,14 +189,15 @@ def _diagnostic(kind: str, message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        tol_overrides = _parse_tol(args.tol)
+        given = {"seed": args.seed, "trials": args.trials, "tolerances": _parse_tol(args.tol)}
+        overrides = {name: value for name, value in given.items() if value is not None}
     except (argparse.ArgumentError, ValueError) as exc:
         _diagnostic("ArgumentError", str(exc))
         return 2
     try:
         text = Path(args.scenario).read_bytes()
         _check_ranges(args)
-        scenario = parse_scenario(text, overrides=tol_overrides)
+        scenario = parse_scenario(text, overrides=overrides)
         return dispatch(args.command, scenario, args)
     except OSError as exc:  # reading the scenario or writing the output
         _diagnostic("IOError", str(exc))

@@ -166,9 +166,11 @@ def _object(doc: dict, name: str) -> dict:
 
 def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario:
     """Read a scenario document's structure: its JSON, the presence of `dimension`, and the
-    objects `observable` and `state`, each with `re` and `im` arrays, and `tolerances`, whose
-    entries the `overrides` replace (ScenarioParseError if one is missing or malformed).  The
-    `Scenario` built from the fields present decides their types, defaults and refusals."""
+    objects `observable` and `state`, each with `re` and `im` arrays, and `tolerances`
+    (ScenarioParseError if one is missing or malformed).  `overrides` maps field names, such as
+    `seed`, `trials` and `tolerances`, to values that replace the document's (tolerances by
+    name) before the one `Scenario` built from the fields present decides their types,
+    defaults and refusals, so an override is refused as the same value in the document is."""
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
     try:
@@ -185,8 +187,8 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     present = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
     if "tolerances" in doc:
         _object(doc, "tolerances")
-    if overrides:
-        present["tolerances"] = {**present.get("tolerances", {}), **overrides}
+    for name, value in (overrides or {}).items():
+        present[name] = {**present.get(name, {}), **value} if name == "tolerances" else value
     for name in ("observable", "state"):
         entry = _object(doc, name)
         for part in ("re", "im"):

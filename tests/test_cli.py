@@ -123,7 +123,7 @@ class TestParseScenario:
 
     def test_overrides_replace_document_tolerances(self):
         text = scenario_text(tolerances={"shell": 1e-8, "herm": 1e-9})
-        scenario = parse_scenario(text, overrides={"shell": 1e-3})
+        scenario = parse_scenario(text, overrides={"tolerances": {"shell": 1e-3}})
         assert dict(scenario.tolerances) == {"shell": 1e-3, "herm": 1e-9}
 
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
@@ -135,7 +135,7 @@ class TestParseScenario:
         m = np.array([[1, 1e-7 + 2e-8j], [3e-8, 2]])
         scenario = parse_scenario(
             scenario_text(observable={"re": m.real.tolist(), "im": m.imag.tolist()}),
-            overrides={"herm": 1e-6},
+            overrides={"tolerances": {"herm": 1e-6}},
         )
         matrix = scenario.observable().matrix
         assert np.array_equal(matrix, matrix.conj().T)
@@ -153,7 +153,7 @@ class TestParseScenario:
     def test_loose_state_reaches_the_core_on_shell(self):
         r = float(np.sqrt(0.5))
         doc = scenario_text(normalize=False, state={"re": [r + 1e-6, r], "im": [0, 0]})
-        state = parse_scenario(doc, overrides={"shell": 1e-3}).state()
+        state = parse_scenario(doc, overrides={"tolerances": {"shell": 1e-3}}).state()
         assert abs(state.norm_squared() - 1.0) <= 1e-15
 
     def test_parse_keeps_the_instances_it_admits(self):
@@ -347,6 +347,28 @@ class TestDispatch:
         meta, _, rows = self.read_csv(tmp_path / "sample.csv")
         assert meta["seed"] == "123"
         assert sum(int(r[1]) for r in rows) == 50
+
+    @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**400], ids=["0", "cap+1", "1e400"])
+    def test_trials_refused_alike_from_flag_and_document(self, tmp_path, trials):
+        flag = self.write_scenario(tmp_path)
+        document = tmp_path / "document.json"
+        document.write_text(scenario_text(trials=trials))
+        for command in COMMANDS:
+            code, _, err = run_main([command, "--scenario", flag, "--trials", str(trials)])
+            assert code == 2 and err.count("\n") == 1
+            assert run_main([command, "--scenario", str(document)]) == (code, "", err)
+
+    @pytest.mark.parametrize("field, value, option", [
+        ("trials", 0, ["--trials", "100"]),
+        ("seed", 1.5, ["--seed", "3"]),
+        ("tolerances", {"shell": -1}, ["--tol", "shell=1e-3"]),
+    ], ids=["trials", "seed", "tolerance"])
+    def test_flag_rescues_the_document_field_it_replaces(self, tmp_path, field, value, option):
+        scen = self.write_scenario(tmp_path, **{field: value})
+        assert run_main(["probs", "--scenario", scen])[0] == 2
+        for command in COMMANDS:
+            code, _, err = run_main([command, "--scenario", scen, *option])
+            assert (code, err) == (0, "")
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -546,7 +568,7 @@ class TestDispatch:
             assert main([command, "--scenario", scen, "--trials", str(trials)]) == 2
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
-            assert json.loads(lines[0])["error"]["type"] == "InvalidArgumentError"
+            assert json.loads(lines[0])["error"]["type"] == "ScenarioValidationError"
         scen = self.write_scenario(tmp_path, trials=trials)
         assert main(["sample", "--scenario", scen]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
