@@ -20,7 +20,7 @@ from .core import (
     require_dim,
     require_positive_int,
 )
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .linalg import unitary_propagator
 
 MAX_STEPS = 10**8  # bounds time only (45, 56 and 300 s at d = 2, 8 and 64, from 1e6 and 1e5 steps)
@@ -29,19 +29,10 @@ RK4_BLOCK = 32  # steps per batched product, a power of two; its powers hold RK4
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States along a flow at ascending parameter values; `flow_numeric`
-    records the two endpoints."""
+    """The two endpoints of a flow that `flow_numeric` integrates."""
 
-    times: np.ndarray
-    states: tuple[StateVector, ...]
-
-    def __post_init__(self):
-        if self.times.shape[0] != len(self.states):
-            raise DimensionMismatchError("times and states have different lengths")
-
-    @property
-    def final(self) -> StateVector:
-        return self.states[-1]
+    start: StateVector
+    final: StateVector
 
 
 def flow(a: HermitianObservable, psi0: StateVector, t: float) -> StateVector:
@@ -106,7 +97,7 @@ def flow_numeric(
                 for off in states[~(dev <= screen)]:  # refused beyond RK4_SHELL_TOL
                     StateVector(off, hbar)
             psi = states[-1]
-    return Trajectory(np.array([0.0, t]), (psi0, StateVector(psi, hbar)))
+    return Trajectory(psi0, StateVector(psi, hbar))
 
 
 def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:

@@ -17,8 +17,7 @@ from shellqm import (
 )
 from shellqm import dynamics, linalg
 from shellqm.core import RK4_SHELL_TOL
-from shellqm.dynamics import Trajectory
-from shellqm.errors import DimensionMismatchError, InvalidArgumentError, OffShellError
+from shellqm.errors import InvalidArgumentError, OffShellError
 
 from conftest import SIGMA_X, random_hermitian, random_state
 
@@ -116,7 +115,7 @@ class TestFlowNumeric:
         s = random_state(3, rng)
         a = HermitianObservable(np.zeros((3, 3), dtype=complex))
         traj = flow_numeric(a, s, 2.0, steps=50)
-        for state in traj.states:
+        for state in (traj.start, traj.final):
             assert np.array_equal(state.components, s.components)
 
     def test_fourth_order_convergence(self, rng):
@@ -147,16 +146,11 @@ class TestFlowNumeric:
             constants.append(err * (steps / 2.0) ** 4)
         assert max(constants) <= 2.0 * min(constants)
 
-    def test_times_and_states_aligned(self, rng):
-        s = random_state(2, rng)
-        traj = flow_numeric(random_hermitian(2, rng), s, 1.0, steps=10)
-        assert traj.times.tolist() == [0.0, 1.0]
-        assert len(traj.states) == 2
-        assert traj.states[0] is s
-
-    def test_trajectory_refuses_misaligned_times(self, rng):
-        with pytest.raises(DimensionMismatchError, match="different lengths"):
-            Trajectory(np.array([0.0, 1.0]), (random_state(2, rng),))
+    def test_keeps_the_endpoints(self, rng):
+        s, a = random_state(2, rng), random_hermitian(2, rng)
+        traj = flow_numeric(a, s, 1.0, steps=1000)
+        assert traj.start is s
+        assert np.max(np.abs(traj.final.components - flow(a, s, 1.0).components)) <= 1e-10
 
     def test_memory_does_not_grow_with_steps(self, rng):
         # the RK4_BLOCK powers of the step matrix are formed whatever the steps
