@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_TRIALS, POOL_MIN_EXPECTED, TOL_CF, TOL_MEAN_GUARD, TOL_NORM_DRIFT,
-                   HermitianObservable, StateVector, fro_norm, make_state, require_positive_int)
+                   HermitianObservable, StateVector, Value, fro_norm, make_state, readonly_copy,
+                   require_positive_int)
 from .dynamics import flow
 from .errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError, OffShellError
 from .linalg import eigh
@@ -70,8 +71,9 @@ def chi2_threshold_999(dof: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencyTable:
-    """Tallied outcomes of N repeated measurements of one prepared state."""
+class FrequencyTable(Value):
+    """Tallied outcomes of N repeated measurements of one prepared state; its
+    four arrays are read-only copies."""
 
     trials: int
     values: np.ndarray        # cluster outcome values
@@ -79,6 +81,10 @@ class FrequencyTable:
     frequencies: np.ndarray   # counts / trials, exact
     reference: np.ndarray     # Born probabilities
     seed: int
+
+    def __post_init__(self):
+        for name in ("values", "counts", "frequencies", "reference"):
+            object.__setattr__(self, name, readonly_copy(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ def courant_fischer_report(obs: HermitianObservable, seed: int) -> VerificationR
     worst = 0.0
     failed = False
     for n in range(1, obs.dimension + 1):
-        sub = AdmissibleSubspace.for_level(es, n)
+        sub = AdmissibleSubspace(level=n, basis=es.eigenvectors[:, : n - 1])
         target = float(es.eigenvalues[n - 1])
         try:
             value = constrained_min(obs, sub, seed=seed + n).eigenvalue

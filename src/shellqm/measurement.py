@@ -79,13 +79,6 @@ class AdmissibleSubspace(Value):
         require_positive_int(dimension, "dimension")
         return cls(level=1, basis=np.zeros((dimension, 0), dtype=complex))
 
-    @classmethod
-    def for_level(cls, system: EigenSystem, n: int) -> "AdmissibleSubspace":
-        """Admissible set for the n-th level of a solved spectrum."""
-        if not 1 <= n <= system.dimension:
-            raise InvalidArgumentError(f"level {n} out of range 1..{system.dimension}")
-        return cls(level=n, basis=system.eigenvectors[:, : n - 1])
-
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityDistribution(Value):

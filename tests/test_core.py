@@ -13,6 +13,7 @@ import shellqm.errors
 from shellqm import (
     AdmissibleSubspace,
     EigenSystem,
+    FrequencyTable,
     GeneralQuadraticObservable,
     HermitianObservable,
     OscillatorParams,
@@ -393,6 +394,10 @@ VALUE_TYPES = [
      dict(sweeps=0, rotations=0)),
     (ProbabilityDistribution,
      dict(values=np.array([1.0, 2.0]), probabilities=np.array([0.25, 0.75])), {}),
+    (FrequencyTable,
+     dict(values=np.array([1.0, 2.0]), counts=np.array([1, 3]),
+          frequencies=np.array([0.25, 0.75]), reference=np.array([0.25, 0.75])),
+     dict(trials=4, seed=0)),
     (Scenario,
      dict(observable_re=np.diag([1.0, 2.0]), observable_im=np.zeros((2, 2)),
           state_re=np.array([1.0, 0.0]), state_im=np.zeros(2)),
@@ -511,7 +516,8 @@ RETURNED_STATES = {
         random_hermitian(d, rng), random_state(d, rng), 1.0, steps=200).final,
     "measure": lambda d, rng: measure(random_hermitian(d, rng), random_state(d, rng), rng).post_state,
     "constrained_min": lambda d, rng: constrained_min(
-        random_hermitian(d, rng), AdmissibleSubspace.for_level(eigh(config_observable(d)), 2),
+        random_hermitian(d, rng),
+        AdmissibleSubspace(level=2, basis=eigh(config_observable(d)).eigenvectors[:, :1]),
         seed=3, hbar=1.5).argmin,
     "Scenario.state": scenario_state,
 }

@@ -476,7 +476,7 @@ class TestCourantFischer:
         es = eigh(obs)
         deviations = []
         for n in range(1, 5):
-            sub = AdmissibleSubspace.for_level(es, n)
+            sub = AdmissibleSubspace(level=n, basis=es.eigenvectors[:, : n - 1])
             try:
                 value = constrained_min(obs, sub, seed=9 + n).eigenvalue
             except NoConvergenceError as err:

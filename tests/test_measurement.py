@@ -211,7 +211,7 @@ class TestConstrainedMin:
     def test_sigma_z_second_level(self):
         obs = HermitianObservable(SIGMA_Z)
         es = eigh(obs)
-        sub = AdmissibleSubspace.for_level(es, 2)
+        sub = AdmissibleSubspace(level=2, basis=es.eigenvectors[:, :1])
         result = constrained_min(obs, sub, seed=3)
         assert result.eigenvalue == pytest.approx(1.0, abs=1e-8)
 
@@ -219,7 +219,7 @@ class TestConstrainedMin:
         obs = config_observable(4)
         es = eigh(obs)
         for n in range(1, 5):
-            sub = AdmissibleSubspace.for_level(es, n)
+            sub = AdmissibleSubspace(level=n, basis=es.eigenvectors[:, : n - 1])
             result = constrained_min(obs, sub, seed=11)
             assert result.eigenvalue == pytest.approx(float(n), abs=1e-7)
 
@@ -238,7 +238,7 @@ class TestConstrainedMin:
             obs = random_hermitian(d, rng)
             es = eigh(obs)
             for n in range(1, d + 1):
-                sub = AdmissibleSubspace.for_level(es, n)
+                sub = AdmissibleSubspace(level=n, basis=es.eigenvectors[:, : n - 1])
                 result = constrained_min(obs, sub, seed=int(rng.integers(10**6)))
                 target = es.eigenvalues[n - 1]
                 assert abs(result.eigenvalue - target) <= 1e-6 * max(1.0, abs(target))
@@ -364,7 +364,7 @@ def ritz_blocks(draw):
 def complement_bases(draw):
     """A complex (d, n) block, d = 1..16, n = 0..d-1, as `constrained_min`
     takes the complete QR of it: the first n columns of a unitary (a strided
-    view, as `AdmissibleSubspace.for_level` gives), random columns, or either
+    view, as `courant_fischer_report` slices a spectrum), random columns, or either
     with a zero column; scaled by 1, 1e-150 or 1e150."""
     d = draw(st.integers(1, 16))
     n = draw(st.integers(0, d - 1))
@@ -667,11 +667,6 @@ class TestAdmissibleSubspace:
         with pytest.raises(DimensionMismatchError):
             AdmissibleSubspace(level=level, basis=basis)
 
-    def test_level_out_of_range(self, rng):
-        es = eigh(random_hermitian(3, rng))
-        with pytest.raises(ValueError):
-            AdmissibleSubspace.for_level(es, 4)
-
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_basis_without_a_warning(self, entry):
         # a NaN Gram deviation compares False against any bound, and an
@@ -693,7 +688,7 @@ class TestAdmissibleSubspace:
     def test_minimizer_leaves_a_read_only_basis_as_it_was(self, rng):
         obs = random_hermitian(5, rng)
         es = eigh(obs)
-        sub = AdmissibleSubspace.for_level(es, 3)
+        sub = AdmissibleSubspace(level=3, basis=es.eigenvectors[:, :2])
         before = sub.basis.copy()
         result = constrained_min(obs, sub, seed=3)
         assert abs(result.eigenvalue - es.eigenvalues[2]) <= 1e-10
