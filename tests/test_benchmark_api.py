@@ -57,16 +57,26 @@ def test_spectral_gate_passes(workloads):
     assert workloads.check_spectral(out, np.linalg.eigvalsh(matrix)) == []
 
 
-@pytest.mark.parametrize("command, d", [("spectrum", 64), ("probs", 32), ("mean", 32)])
+TRIALS = 10**5  # the `cli` workload draws 10^7 (sample) and 10^6 (verify)
+
+
+@pytest.mark.parametrize("command, d", [("spectrum", 64), ("probs", 32), ("mean", 32),
+                                        ("sample", 16), ("verify", 4)])
 def test_cli_gate_passes(workloads, tmp_path, command, d):
     """The `cli` workload's commands at the large sizes where the eigensolver
-    is most of their time, gated as the benchmark gates them."""
+    is most of their time, and its `--trials` commands, gated as the
+    benchmark gates them."""
     rng = master_rng(d)
     matrix = random_hermitian(d, rng).matrix
     state = random_state(d, rng, 2.0).components
+    seed = int(rng.integers(2**31))
+    while command == "verify" and not workloads._verify_margin(matrix, state, 2.0, seed, TRIALS):
+        seed = int(rng.integers(2**31))  # as `Cli` draws it, so only the program can fail
     path = tmp_path / "scenario.json"
-    path.write_text(workloads.scenario_text(matrix, state, 2.0), encoding="utf-8")
+    path.write_text(workloads.scenario_text(matrix, state, 2.0, seed=seed), encoding="utf-8")
     argv = [command, "--scenario", str(path)]
+    if command in ("sample", "verify"):
+        argv += ["--trials", str(TRIALS)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
