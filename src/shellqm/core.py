@@ -31,6 +31,8 @@ TOL_ZERO = 1e-12         # "numerically zero" component modulus, relative to the
 TOL_SAME_STATE = 1e-9    # overlap deficit of one physical state, relative to hbar
 JACOBI_REL_TOL = 1e-12   # Jacobi's off-diagonal Frobenius norm, relative to ||A||_F
 JACOBI_TINY_NORM = 1e-100  # ||A||_F below which Jacobi solves 2^k A, relative to nothing
+LAPACK_START_DIM = 8     # d above which Jacobi starts from LAPACK's eigenvectors: both goldens
+                         # (d = 2, 5) and the `spectral` pool (d = 2..8) keep their bits
 TOL_RESOLUTION = 100.0 * JACOBI_REL_TOL  # eigenvalues, relative to the spectral radius (at least 1)
 TOL_CLUSTER = 1e-8       # eigenvalue gap of one outcome, relative to the pair (at least 1)
 TOL_GRAM = 1e-10         # admissible basis's max |Gram - I|, relative to nothing

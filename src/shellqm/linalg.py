@@ -1,21 +1,26 @@
 """Dense Hermitian eigensolver, commutators, and unitary propagators.
 
-The eigensolver is a self-contained Jacobi iteration with complex rotations,
-applied directly to the complex Hermitian matrix.  Jacobi is unconditionally
-stable for Hermitian input and highly accurate at the small dimensions this
-package targets (d up to a few dozen), with no dependency on an external
-eigensolver.  A sweep is rounds in round-robin order (d - 1 of them, or d
-for odd d), built in closed form as two (rounds, pairs) index arrays and
-turned into a per-round plan once per dimension and cached.  Each round's
-disjoint rotations are one update in index order: every index takes its
-pair's coefficients and one gather of its partner, first over the columns
-of the matrix and of the accumulated rotations at once, then over the
-matrix's rows, with no scatter.  A round's few real rotation angles are
-computed on Python floats, which round exactly as numpy does and cost less
-than numpy calls on arrays of d / 2 entries; so are its complex
-coefficients when it has at most SMALL_ROUND pairs.  It takes only a
-`HermitianObservable`, whose type guarantees a square, exactly Hermitian
-matrix with a finite norm.
+The eigensolver is a Jacobi iteration with complex rotations, applied
+directly to the complex Hermitian matrix.  Jacobi is unconditionally stable
+for Hermitian input and highly accurate at the small dimensions this package
+targets.  Up to LAPACK_START_DIM it starts from the identity; above, from the
+eigenvectors of numpy's LAPACK `eigh`, which its convergence test then
+certifies, most often with no rotation at all.  A sweep is rounds in
+round-robin order (d - 1 of them, or d for odd d), built in closed form as
+two (rounds, pairs) index arrays and turned into a per-round plan once per
+dimension and cached.  Each round's disjoint rotations are one update in
+index order: every index takes its pair's coefficients and one gather of its
+partner, first over the columns of the matrix and of the accumulated
+rotations at once, then over the matrix's rows, with no scatter.  A round's
+few rotation angles and complex coefficients are computed on Python numbers,
+which round exactly as numpy does and cost less than numpy calls on arrays
+of d / 2 entries.  It takes only a `HermitianObservable`, whose type
+guarantees a square, exactly Hermitian matrix with a finite norm.
+
+This module also binds numpy's private names the package calls: the LAPACK
+gufuncs behind `np.linalg.qr` and `np.linalg.eigh`, and the FP-error state
+machinery behind `np.errstate`.  A numpy that lacks one stops this import,
+naming it.
 """
 
 from __future__ import annotations
@@ -25,12 +30,66 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo, qr_complete, qr_r_raw, qr_reduced
 
-from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, TOL_RESOLUTION,
-                   HermitianObservable, Value, fro_norm, phase_fix, readonly_copy, require_dim)
+from .core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, LAPACK_START_DIM, TOL_CLUSTER,
+                   TOL_RESOLUTION, HermitianObservable, Value, fro_norm, phase_fix,
+                   readonly_copy, require_dim)
 from .errors import InvalidArgumentError, NoConvergenceError
 
 JACOBI_SWEEPS = 50  # sweep budget of one Jacobi solve
+
+
+def _raise_qr_error(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _raise_eigh_error(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# The FP-error states `np.linalg.qr` and `np.linalg.eigh` enter, built once:
+# every field is set, so entering one does not depend on the caller's state
+# (the buffer size, which these gufuncs do not use, is the one at import).
+_QR_ERRSTATE = _make_extobj(call=_raise_qr_error, invalid="call", over="ignore",
+                            divide="ignore", under="ignore")
+_EIGH_ERRSTATE = _make_extobj(call=_raise_eigh_error, invalid="call", over="ignore",
+                              divide="ignore", under="ignore")
+
+
+def _orthonormal_columns(m: np.ndarray, complete: bool = False) -> np.ndarray:
+    """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
+    LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
+    factor; with `complete`, `np.linalg.qr(m, mode="complete")[0]` of a block
+    with more rows than columns.  Overwrites m, so m must be a fresh array.
+    The calls run in `np.linalg.qr`'s error state, prebuilt once as
+    _QR_ERRSTATE and entered and left through numpy's context variable as
+    `np.errstate` enters and leaves its own, but with no state built per
+    call: the same warnings and errors, and the caller's state is back on
+    return or raise.
+    The one `qr_r_raw` gufunc is numpy 2's layout (numpy 1 split it by
+    shape), hence the `numpy>=2.0` floor."""
+    token = _extobj_contextvar.set(_QR_ERRSTATE)
+    try:
+        tau = qr_r_raw(m, signature="D->D")
+        if complete:
+            return qr_complete(m, tau, signature="DD->D")
+        return qr_reduced(m, tau, signature="DD->D")
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _eigenvectors(h: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigh(h)[1]` of a complex Hermitian h, bit for bit, from the
+    LAPACK gufunc behind it, in `np.linalg.eigh`'s error state, prebuilt once
+    as _EIGH_ERRSTATE and entered as in `_orthonormal_columns`."""
+    token = _extobj_contextvar.set(_EIGH_ERRSTATE)
+    try:
+        return eigh_lo(h, signature="D->dD")[1]
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +103,8 @@ class EigenSystem(Value):
     outcome: `cluster[n]` is the outcome index of eigenvalue n (0 first, never
     decreasing) and `cluster_values[k]` the member mean of outcome k.  All
     four arrays are read-only.  `sweeps` and `rotations` count the solve's
-    work: the Jacobi sweeps made, at most JACOBI_SWEEPS, and the pairs
+    work: the Jacobi sweeps made, at most JACOBI_SWEEPS (most often 0 after
+    the LAPACK start above LAPACK_START_DIM), and the pairs
     rotated in them (a pair skipped as already small is not counted); a
     solve of the same matrix repeats them exactly.
     """
@@ -86,14 +146,6 @@ def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
     return p[real].reshape(n - 1, -1), q[real].reshape(n - 1, -1)
 
 
-# Pairs per round up to which `_rotate_round` forms its coefficients on
-# Python numbers: the measured crossover.  Interleaved in process on a 2-vCPU
-# Xeon, whole solves on that path beat numpy's by x1.09-1.23 at d = 2..9
-# (rounds of 1..4 pairs), x1.05-1.09 at 5..6 pairs, x1.02-1.03 at 7, are
-# level at 8 (d = 16, 17) and lose from 9 (x0.97 at d = 18, x0.93 at d = 24).
-SMALL_ROUND = 7
-
-
 @functools.lru_cache(maxsize=16)
 def _sweep(d: int) -> tuple[tuple, ...]:
     """One sweep's rounds for dimension d >= 2, read-only and built once per
@@ -103,9 +155,7 @@ def _sweep(d: int) -> tuple[tuple, ...]:
     indices `at` of a[p, q], a[p, p] and a[q, q] in the (2d, d) buffer; the
     flat indices `zeroed`, in the buffer viewed as floats, of the six
     entries per pair a rotation zeroes (both parts of a[p, q] and a[q, p],
-    the imaginary parts of a[p, p] and a[q, q]); and the (3, d) `slots` that
-    put the pair-ordered coefficients (p's, q's, then the idle value) in
-    index order."""
+    the imaginary parts of a[p, p] and a[q, q])."""
     p, q = _round_robin(d)
     rounds, k = p.shape
     r = np.arange(rounds)[:, None]
@@ -115,14 +165,11 @@ def _sweep(d: int) -> tuple[tuple, ...]:
     off = 2 * (d * pq + qp)
     at = np.concatenate((d * p + q, (d + 1) * pq), axis=1)
     zeroed = np.concatenate((off, off + 1, 2 * (d + 1) * pq + 1), axis=1).reshape(rounds, 6, k)
-    slot = np.full((rounds, d), 2 * k)
-    slot[r, pq] = np.arange(2 * k)
-    slots = slot[:, None] + (2 * k + 1) * np.arange(3)[:, None]
-    for array in (partner, at, zeroed, slots):
+    for array in (partner, at, zeroed):
         array.setflags(write=False)
     idle = (partner == np.arange(d)).argmax(axis=1).tolist() if d % 2 else [None] * rounds
     pairs = [tuple(zip(p_row, q_row)) for p_row, q_row in zip(p.tolist(), q.tolist())]
-    return tuple(zip(pairs, partner, idle, at, zeroed, slots))
+    return tuple(zip(pairs, partner, idle, at, zeroed))
 
 
 def _rotate_round(av: np.ndarray, plan: tuple, skip: float) -> int:
@@ -147,63 +194,45 @@ def _rotate_round(av: np.ndarray, plan: tuple, skip: float) -> int:
     The bits are those of separate updates of each pair (README, numerical
     notes): |b| is numpy's `abs`, which is not Python's; w = b / |b| and
     s w are numpy's complex division and product, formed on Python numbers
-    with numpy's exact formulas up to SMALL_ROUND pairs, and in numpy above;
-    and the mixes multiply the gathers out of place, because numpy's
-    in-place complex multiply with a broadcast operand rounds differently
-    (cc, being real, scales the same either way).
+    with numpy's exact formulas; and the mixes multiply the gathers out of
+    place, because numpy's in-place complex multiply with a broadcast operand
+    rounds differently (cc, being real, scales the same either way).
     """
-    pairs, partner, idle, at, zeroed, slots = plan
+    pairs, partner, idle, at, zeroed = plan
     k = len(pairs)
     d = av.shape[1]
     gathered = av.reshape(-1)[at]
     absb = np.abs(gathered[:k])
     moduli = absb.tolist()
     entries = gathered.tolist()
-    cs, ss, skipped, sources = [], [], [], []
-    for (p, q), modulus, app, aqq in zip(pairs, moduli, entries[k:], entries[2 * k:]):
+    cc, col_mix, row_mix = [1.0] * d, [0.0] * d, [0.0] * d
+    skipped, sources = [], []
+    for (p, q), modulus, b, app, aqq in zip(pairs, moduli, entries, entries[k:], entries[2 * k:]):
         if modulus <= skip:  # dropped before any division
             skipped += p, q
             sources += q, p
-            cs.append(1.0)
-            ss.append(0.0)
             continue
         theta = (aqq.real - app.real) / (2.0 * modulus)
         # -sign(theta), and t = 1 at theta == 0
         t = (-1.0 if theta > 0.0 else 1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
         c = 1.0 / math.sqrt(t * t + 1.0)
-        cs.append(c)
-        ss.append(t * c)
+        s = t * c
+        # numpy's b / (|b| + 0j), whose scale 1 / (|b| + 0 * 0) is 1 / |b|
+        r = 1.0 / modulus
+        wr, wi = (b.real + b.imag * 0.0) * r, (b.imag - b.real * 0.0) * r
+        # numpy's (s + 0j) * w and (s + 0j) * conj(w)
+        sw = complex(s * wr - 0.0 * wi, s * wi + 0.0 * wr)
+        swc = complex(s * wr - 0.0 * -wi, s * -wi + 0.0 * wr)
+        cc[p] = cc[q] = c
+        col_mix[p], col_mix[q] = swc, -sw
+        row_mix[p], row_mix[q] = sw, -swc
     rotated = k - len(skipped) // 2
     if not rotated:
         return 0
     if rotated < k:
-        keep = absb > skip
-        zeroed = zeroed[:, keep]
-    if k <= SMALL_ROUND:
-        cc, col_mix, row_mix = [1.0] * d, [0.0] * d, [0.0] * d
-        for (p, q), modulus, b, c, s in zip(pairs, moduli, entries, cs, ss):
-            if modulus <= skip:
-                continue
-            # numpy's b / (|b| + 0j), whose scale 1 / (|b| + 0 * 0) is 1 / |b|
-            r = 1.0 / modulus
-            wr, wi = (b.real + b.imag * 0.0) * r, (b.imag - b.real * 0.0) * r
-            # numpy's (s + 0j) * w and (s + 0j) * conj(w)
-            sw = complex(s * wr - 0.0 * wi, s * wi + 0.0 * wr)
-            swc = complex(s * wr - 0.0 * -wi, s * -wi + 0.0 * wr)
-            cc[p] = cc[q] = c
-            col_mix[p], col_mix[q] = swc, -sw
-            row_mix[p], row_mix[q] = sw, -swc
-        coefficients = np.array(cc + col_mix + row_mix)
-        cc, col_mix, row_mix = coefficients[:d], coefficients[d:2 * d], coefficients[2 * d:]
-    else:
-        if rotated < k:
-            absb[~keep] = 1.0  # a finite w for the pairs not rotated
-        w = gathered[:k] / absb
-        s = np.array(ss)
-        sw = s * w
-        swc = s * np.conj(w)
-        cc, col_mix, row_mix = np.concatenate(
-            (cs, cs, (1.0,), swc, -sw, (0.0,), sw, -swc, (0.0,)))[slots]
+        zeroed = zeroed[:, absb > skip]
+    coefficients = np.array(cc + col_mix + row_mix)
+    cc, col_mix, row_mix = coefficients[:d], coefficients[d:2 * d], coefficients[2 * d:]
 
     y = av[:, partner]
     av *= cc
@@ -250,9 +279,13 @@ def eigh(observable: HermitianObservable) -> EigenSystem:
     calls return that same EigenSystem.  A fresh instance built from the same
     matrix is solved again.
 
+    Above LAPACK_START_DIM the rotations start from the eigenvectors of
+    numpy's LAPACK `eigh`, so those spectra round as numpy's LAPACK build
+    does; the same sweep loop certifies them.
+
     Raises TypeError for anything but a HermitianObservable, and
-    NoConvergenceError if the off-diagonal mass has not dropped below
-    JACOBI_REL_TOL * ||A||_F within the sweep budget.
+    NoConvergenceError if LAPACK fails on the start or the off-diagonal mass
+    has not dropped below JACOBI_REL_TOL * ||A||_F within the sweep budget.
     """
     if not isinstance(observable, HermitianObservable):
         raise TypeError(f"eigh takes a HermitianObservable, got {type(observable).__name__}")
@@ -282,6 +315,18 @@ def _jacobi_eigh(matrix: np.ndarray) -> EigenSystem:
 
     sweeps = rotations = 0
     if d > 1 and fro > 0.0:
+        if d > LAPACK_START_DIM:
+            # Start from LAPACK's eigenvectors W: A becomes the Hermitian part
+            # of W^H A W, formed so that it is exactly Hermitian, and V becomes
+            # W.  The loop below certifies the start and rotates only if the
+            # start misses its target.
+            try:
+                w = _eigenvectors(a)
+            except LinAlgError as exc:
+                raise NoConvergenceError(f"LAPACK eigh for the Jacobi start: {exc}") from None
+            m = w.conj().T @ a @ w
+            a[...] = 0.5 * m + 0.5 * m.conj().T
+            v[...] = w
         target = JACOBI_REL_TOL * fro
         # Entries all below target/d cannot push the off-diagonal norm above
         # the target, so they are not worth a rotation.

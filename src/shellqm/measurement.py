@@ -15,12 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-# numpy's private names the minimizer calls: the LAPACK gufuncs behind
-# `np.linalg.qr` and `np.linalg.eigh`, and the FP-error state machinery
-# behind `np.errstate`.  A numpy that lacks one stops this import, naming it.
-from numpy._core.umath import _extobj_contextvar, _make_extobj
-from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigh_lo, qr_complete, qr_r_raw, qr_reduced
 
 from .core import (TOL_GRAM, TOL_START, TOL_ZERO, HermitianObservable, StateVector, Value,
                    fro_norm, make_state, project_to_shell, readonly_copy, require_dim,
@@ -31,7 +25,7 @@ from .errors import (
     InvalidArgumentError,
     NoConvergenceError,
 )
-from .linalg import EigenSystem, eigh
+from .linalg import EigenSystem, _eigenvectors, _orthonormal_columns, eigh
 from .rng import master_rng
 
 # Minimizer budget: each start gets PG_MAX_ITER Rayleigh-Ritz steps to stop
@@ -160,56 +154,6 @@ def mean_value(obs: HermitianObservable, state: StateVector) -> float:
     return float(np.dot(dist.values, dist.probabilities))
 
 
-def _raise_qr_error(err, flag):
-    raise LinAlgError("Incorrect argument found while performing QR factorization")
-
-
-def _raise_eigh_error(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-# The FP-error states `np.linalg.qr` and `np.linalg.eigh` enter, built once:
-# every field is set, so entering one does not depend on the caller's state
-# (the buffer size, which these gufuncs do not use, is the one at import).
-_QR_ERRSTATE = _make_extobj(call=_raise_qr_error, invalid="call", over="ignore",
-                            divide="ignore", under="ignore")
-_EIGH_ERRSTATE = _make_extobj(call=_raise_eigh_error, invalid="call", over="ignore",
-                              divide="ignore", under="ignore")
-
-
-def _orthonormal_columns(m: np.ndarray, complete: bool = False) -> np.ndarray:
-    """`np.linalg.qr(m)[0]` of a complex block m, bit for bit, from the two
-    LAPACK gufuncs behind it, without the wrapper's checks, copy and unused R
-    factor; with `complete`, `np.linalg.qr(m, mode="complete")[0]` of a block
-    with more rows than columns.  Overwrites m, so m must be a fresh array.
-    The calls run in `np.linalg.qr`'s error state, prebuilt once as
-    _QR_ERRSTATE and entered and left through numpy's context variable as
-    `np.errstate` enters and leaves its own, but with no state built per
-    call: the same warnings and errors, and the caller's state is back on
-    return or raise.
-    The one `qr_r_raw` gufunc is numpy 2's layout (numpy 1 split it by
-    shape), hence the `numpy>=2.0` floor."""
-    token = _extobj_contextvar.set(_QR_ERRSTATE)
-    try:
-        tau = qr_r_raw(m, signature="D->D")
-        if complete:
-            return qr_complete(m, tau, signature="DD->D")
-        return qr_reduced(m, tau, signature="DD->D")
-    finally:
-        _extobj_contextvar.reset(token)
-
-
-def _lowest_eigenvector(h: np.ndarray) -> np.ndarray:
-    """`np.linalg.eigh(h)[1][:, 0]` of a complex Hermitian h, bit for bit, from
-    the LAPACK gufunc behind it, in `np.linalg.eigh`'s error state, prebuilt
-    once as _EIGH_ERRSTATE and entered as in `_orthonormal_columns`."""
-    token = _extobj_contextvar.set(_EIGH_ERRSTATE)
-    try:
-        return eigh_lo(h, signature="D->dD")[1][:, 0]
-    finally:
-        _extobj_contextvar.reset(token)
-
-
 def constrained_min(
     obs: HermitianObservable,
     sub: AdmissibleSubspace,
@@ -273,7 +217,7 @@ def constrained_min(
             # span{x, r}: the spare column is then a unit vector orthogonal to
             # both, and the Ritz value still cannot rise
             basis = _orthonormal_columns(np.array([x, bx - value * x, *previous]).T)
-            y = _lowest_eigenvector(basis.conj().T.dot(b).dot(basis))
+            y = _eigenvectors(basis.conj().T.dot(b).dot(basis))[:, 0]
             step = basis.dot(y)
             b_step = b.dot(step)
             step_value = rayleigh(step, b_step)

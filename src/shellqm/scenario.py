@@ -33,6 +33,9 @@ from .errors import (InvalidArgumentError, NotHermitianError, OffShellError, Sce
                      ScenarioValidationError, ZeroVectorError)
 
 KNOWN_TOLERANCES = ("shell", "herm")
+# A document's top-level fields: Scenario's, with each complex array one {re, im} object
+DOCUMENT_FIELDS = ("dimension", "hbar", "mass", "omega", "observable", "state", "normalize",
+                   "seed", "trials", "tolerances")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +170,11 @@ def _object(doc: dict, name: str) -> dict:
 def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario:
     """Read a scenario document's structure: its JSON, the presence of `dimension`, and the
     objects `observable` and `state`, each with `re` and `im` arrays, and `tolerances`
-    (ScenarioParseError if one is missing or malformed).  `overrides` maps field names, such as
-    `seed`, `trials` and `tolerances`, to values that replace the document's (tolerances by
-    name) before the one `Scenario` built from the fields present decides their types,
-    defaults and refusals, so an override is refused as the same value in the document is."""
+    (ScenarioParseError if one is missing or malformed).  `overrides` maps document field
+    names, such as `seed`, `trials` and `tolerances`, to values that replace the document's
+    (tolerances by name, read as the document's are) before the one `Scenario` built from the
+    fields present decides their types, defaults and refusals, so an override is refused as the
+    same value in the document is; a name the format does not have is refused."""
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
     try:
@@ -184,11 +188,14 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     if "dimension" not in doc:
         raise ScenarioParseError("missing required field 'dimension'")
 
-    present = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
     if "tolerances" in doc:
         _object(doc, "tolerances")
     for name, value in (overrides or {}).items():
-        present[name] = {**present.get(name, {}), **value} if name == "tolerances" else value
+        if name not in DOCUMENT_FIELDS:
+            raise ScenarioParseError(f"unknown field {name!r}")
+        doc[name] = ({**doc.get(name, {}), **_object(overrides, name)} if name == "tolerances"
+                     else value)
+    present = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
     for name in ("observable", "state"):
         entry = _object(doc, name)
         for part in ("re", "im"):

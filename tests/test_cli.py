@@ -126,6 +126,27 @@ class TestParseScenario:
         scenario = parse_scenario(text, overrides={"tolerances": {"shell": 1e-3}})
         assert dict(scenario.tolerances) == {"shell": 1e-3, "herm": 1e-9}
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tolerances": 5}, "field 'tolerances' must be an object, got 5"),
+        ({"tolerances": [("shell", 1e-3)]}, "field 'tolerances' must be an object"),
+        ({"bogus": 1}, "unknown field 'bogus'"),
+        ({"observable_re": [[1, 0], [0, 2]]}, "unknown field 'observable_re'"),
+        ({"observable": 1}, "field 'observable' must be an object, got 1"),
+        ({"state": {"re": [1, 1]}}, "field 'state' needs 'im' array"),
+    ], ids=["tolerances-int", "tolerances-pairs", "unknown", "scenario-only-name",
+            "observable-int", "state-without-im"])
+    def test_overrides_refused_as_document_fields_are(self, overrides, message):
+        # an override replaces a document field before the document is read,
+        # so a malformed one is refused as the same field in the document is
+        with pytest.raises(ScenarioParseError, match=re.escape(message)):
+            parse_scenario(scenario_text(), overrides=overrides)
+
+    def test_overrides_replace_whole_document_objects(self):
+        scenario = parse_scenario(scenario_text(), overrides={
+            "observable": {"re": [[3, 0], [0, 4]], "im": [[0, 0], [0, 0]]}, "trials": 5})
+        assert scenario.observable_re.tolist() == [[3.0, 0.0], [0.0, 4.0]]
+        assert scenario.trials == 5
+
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
     def test_trials_above_cap_rejected(self, trials):
         with pytest.raises(ScenarioValidationError, match="trials"):

@@ -562,7 +562,7 @@ class TestThresholdTable:
         # check, numpy's gufunc error contract and the seed protocol's error
         allowed = {("cli.py", "ValueError"): 3, ("cli.py", "argparse.ArgumentError"): 1,
                    ("cli.py", "SystemExit"): 2, ("linalg.py", "TypeError"): 1,
-                   ("measurement.py", "LinAlgError"): 2, ("rng.py", "ValueError"): 1}
+                   ("linalg.py", "LinAlgError"): 2, ("rng.py", "ValueError"): 1}
         others = {}
         for name, tree in self.modules().items():
             for node in ast.walk(tree):

@@ -19,7 +19,8 @@ from shellqm import (
     project_to_shell,
     unitary_propagator,
 )
-from shellqm.core import JACOBI_REL_TOL, JACOBI_TINY_NORM, TOL_CLUSTER, phase_fix
+from shellqm.core import (JACOBI_REL_TOL, JACOBI_TINY_NORM, LAPACK_START_DIM, TOL_CLUSTER,
+                          phase_fix)
 from shellqm.linalg import JACOBI_SWEEPS, _cluster_labels, _rotate_round, _round_robin, _sweep
 from shellqm.rng import master_rng
 from shellqm.errors import DimensionMismatchError, NoConvergenceError
@@ -109,18 +110,18 @@ def sweep_plan_lists(d: int) -> list[tuple]:
         off = [2 * (d * i + j) for i, j in zip(ps + qs, qs + ps)]
         zeroed = [off[:k], off[k:], [x + 1 for x in off[:k]], [x + 1 for x in off[k:]],
                   [2 * (d + 1) * p + 1 for p in ps], [2 * (d + 1) * q + 1 for q in qs]]
-        slot = [(ps + qs).index(i) if i in ps + qs else 2 * k for i in range(d)]
-        slots = [[x + (2 * k + 1) * row for x in slot] for row in range(3)]
-        plans.append((tuple(pairs), partner, idle, at, zeroed, slots))
+        plans.append((tuple(pairs), partner, idle, at, zeroed))
     return plans
 
 
 def jacobi_eigh_apart(matrix: np.ndarray) -> tuple:
     """The whole solve over the list-built schedule, with each round's A and
     V updates made apart by `rotate_round_apart` and the off-diagonal norm of
-    A - diag(A), after the same power-of-two prescale of a tiny A: the oracle
-    for `_jacobi_eigh`'s eigenvalues and eigenvectors, bit for bit, and for
-    its counts of sweeps and of pairs rotated."""
+    A - diag(A), after the same power-of-two prescale of a tiny A and, above
+    LAPACK_START_DIM, the same start from the public `np.linalg.eigh`'s
+    eigenvectors: the oracle for `_jacobi_eigh`'s eigenvalues and
+    eigenvectors, bit for bit, and for its counts of sweeps and of pairs
+    rotated."""
     d = matrix.shape[0]
     a, v = np.array(matrix, dtype=complex), np.eye(d, dtype=complex)
     fro = float(np.linalg.norm(a))
@@ -131,6 +132,10 @@ def jacobi_eigh_apart(matrix: np.ndarray) -> tuple:
         fro = float(np.linalg.norm(a))
     sweeps = rotations = 0
     if d > 1 and fro > 0.0:
+        if d > LAPACK_START_DIM:
+            v = np.linalg.eigh(a)[1]
+            m = v.conj().T @ a @ v
+            a = 0.5 * m + 0.5 * m.conj().T
         target = JACOBI_REL_TOL * fro
         rounds = [tuple(np.array(side, dtype=np.intp) for side in zip(*pairs))
                   for pairs in round_robin_lists(d)]
@@ -219,20 +224,20 @@ def three_levels(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (matrix + matrix.conj().T), u, v
 
 
-def block_diagonal(rng) -> np.ndarray:
-    """Two random 8x8 Hermitian blocks on the diagonal: most rounds pair some
+def block_diagonal(rng, n: int = 8) -> np.ndarray:
+    """Two random n x n Hermitian blocks on the diagonal: most rounds pair some
     indices across the blocks, whose entries are exact zeros and are
     skipped, and others inside one block."""
-    matrix = np.zeros((16, 16), dtype=complex)
-    matrix[:8, :8] = random_hermitian(8, rng).matrix
-    matrix[8:, 8:] = random_hermitian(8, rng).matrix
+    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
+    matrix[:n, :n] = random_hermitian(n, rng).matrix
+    matrix[n:, n:] = random_hermitian(n, rng).matrix
     return matrix
 
 
 @st.composite
 def degenerate_observable_and_state(draw):
-    """U diag(v) U^H with repeated entries in v (d = 1..8) and a shell state."""
-    d = draw(st.integers(1, 8))
+    """U diag(v) U^H with repeated entries in v (d = 1..16) and a shell state."""
+    d = draw(st.integers(1, 16))
     levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=d, unique=True))
     v = np.array([levels[draw(st.integers(0, len(levels) - 1))] for _ in range(d)])
     rng = master_rng(draw(st.integers(0, 2**32)))
@@ -534,7 +539,7 @@ class TestRoundRobin:
         plan = _sweep(d)
         assert len(plan) == len(fresh) == d + d % 2 - 1
         for got, want in zip(plan, fresh):
-            assert len(got) == len(want) == 6
+            assert len(got) == len(want) == 5
             assert got[0] == want[0] and got[2] == want[2]
             for a, b in zip(got[1:2] + got[3:], want[1:2] + want[3:]):
                 assert a.dtype == np.intp and np.array_equal(a, b)
@@ -575,19 +580,22 @@ class TestRoundRobin:
             want = u[:, v == level]
             assert np.max(np.abs(span @ span.conj().T - want @ want.conj().T)) <= 1e-12 * d
 
-    def test_block_diagonal_leaves_whole_rounds_idle(self, rng):
-        # Two 8x8 blocks: the first round pairs every index of one block with
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_block_diagonal_leaves_whole_rounds_idle(self, n, rng):
+        # Two n x n blocks: the first round pairs every index of one block with
         # one of the other, so in every sweep it has nothing to rotate, and the
-        # exact zeros between the blocks stay exact.
-        big_p, big_q = _round_robin(16)
-        assert np.all(big_p[0] < 8) and np.all(big_q[0] >= 8)
-        obs = HermitianObservable(block_diagonal(rng))
+        # exact zeros between the blocks stay exact, also through LAPACK's
+        # start (n = 8), from which no sweep is needed.
+        big_p, big_q = _round_robin(2 * n)
+        assert np.all(big_p[0] < n) and np.all(big_q[0] >= n)
+        obs = HermitianObservable(block_diagonal(rng, n))
         es = eigh(obs)
+        assert (es.sweeps > 0) == (2 * n <= LAPACK_START_DIM)
         assert_decomposes(obs, es)
-        upper = np.any(es.eigenvectors[:8] != 0.0, axis=0)
-        lower = np.any(es.eigenvectors[8:] != 0.0, axis=0)
+        upper = np.any(es.eigenvectors[:n] != 0.0, axis=0)
+        lower = np.any(es.eigenvectors[n:] != 0.0, axis=0)
         assert np.all(upper != lower)
-        assert np.sum(upper) == 8
+        assert np.sum(upper) == n
 
     @pytest.mark.parametrize("case", [*(f"random-{d}" for d in (*range(2, 10), 16, 33, 64)),
                                       *(f"{kind}-{d}" for kind in ("real", "imaginary")
@@ -621,12 +629,11 @@ class TestRoundRobin:
         assert_same_bits(matrix)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(hermitian_edge_matrices(), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0, 64]))
-    def test_each_round_is_bit_exact_on_edge_matrices(self, matrix, skip, small_round):
+    @given(hermitian_edge_matrices(), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_each_round_is_bit_exact_on_edge_matrices(self, matrix, skip):
         # every entry of A and V after each round of a sweep, off-diagonal
         # signed zeros included, on A as the solve prescales it and with a
-        # skip threshold that drops some pairs, with the coefficients formed
-        # in numpy (SMALL_ROUND 0) or on Python numbers (64) at every d
+        # skip threshold that drops some pairs
         d = matrix.shape[0]
         fro = float(np.linalg.norm(matrix))
         if fro < JACOBI_TINY_NORM:
@@ -635,21 +642,44 @@ class TestRoundRobin:
             fro = float(np.linalg.norm(matrix))
         skip = max(skip * float(np.median(np.abs(matrix))), JACOBI_REL_TOL * fro / d)
         av = np.concatenate((matrix, np.eye(d, dtype=complex)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shellqm.linalg, "SMALL_ROUND", small_round)
-            for plan, pairs in zip(_sweep(d), round_robin_lists(d)):
+        for plan, pairs in zip(_sweep(d), round_robin_lists(d)):
+            a, v = av[:d].copy(), av[d:].copy()
+            p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+            assert _rotate_round(av, plan, skip) == rotate_round_apart(a, v, p, q, skip)
+            assert bits(av) == bits(np.concatenate((a, v)))
+
+    @pytest.mark.parametrize("case", ["random-16", "random-33", "random-64", "real-33",
+                                      "imaginary-16", "block-diagonal"])
+    def test_each_round_is_bit_exact_from_the_identity_start(self, case, rng):
+        # the solve starts from LAPACK's vectors above LAPACK_START_DIM and
+        # then rarely rotates, so rounds of 8 to 32 pairs run here: every
+        # round of every sweep from [A; I] until the target is met, pairs
+        # skipped below target / d as the solve skips them
+        kind, _, d = case.partition("-")
+        if kind == "block":
+            matrix = block_diagonal(rng)
+        elif kind == "imaginary":
+            k = rng.normal(size=(int(d), int(d)))
+            matrix = HermitianObservable(1j * (k - k.T)).matrix
+        else:
+            matrix = random_hermitian(int(d), rng).matrix
+            if kind == "real":
+                matrix = HermitianObservable(matrix.real).matrix
+        d = matrix.shape[0]
+        target = JACOBI_REL_TOL * float(np.linalg.norm(matrix))
+        av = np.concatenate((matrix, np.eye(d, dtype=complex)))
+        rounds = list(zip(_sweep(d), round_robin_lists(d)))
+        for sweep in range(JACOBI_SWEEPS):
+            a = av[:d]
+            if np.linalg.norm(a - np.diag(np.diag(a))) <= target:
+                break
+            for plan, pairs in rounds:
                 a, v = av[:d].copy(), av[d:].copy()
                 p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-                assert _rotate_round(av, plan, skip) == rotate_round_apart(a, v, p, q, skip)
+                rotated = _rotate_round(av, plan, target / d)
+                assert rotated == rotate_round_apart(a, v, p, q, target / d)
                 assert bits(av) == bits(np.concatenate((a, v)))
-
-    @pytest.mark.parametrize("small_round", [0, 64], ids=["numpy", "python"])
-    @pytest.mark.parametrize("case", ["random-7", "random-16", "random-33", "real-9",
-                                      "imaginary-9", "imaginary-16", "decoupled-5"])
-    def test_both_coefficient_paths_are_bit_exact(self, case, small_round, rng, monkeypatch):
-        # each path alone, at dimensions where the solve would take the other
-        monkeypatch.setattr(shellqm.linalg, "SMALL_ROUND", small_round)
-        self.test_fused_round_is_bit_exact(case, rng)
+        assert sweep > 1
 
     # below 1e-154 the squares in ||A||_F underflow: 1e-200 and 1e-300 are
     # solved only through the power-of-two prescale
@@ -664,27 +694,54 @@ class TestRoundRobin:
         v = es.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(16))) <= 1e-12 * 16
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 33])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 16, 33])
     def test_work_counts_repeat_exactly(self, d, rng):
+        # LAPACK's start above LAPACK_START_DIM meets the target unrotated
         matrix = random_hermitian(d, rng).matrix
         es = eigh(HermitianObservable(matrix))
         again = eigh(HermitianObservable(matrix))
         assert (es.sweeps, es.rotations) == (again.sweeps, again.rotations)
         assert 0 <= es.sweeps <= JACOBI_SWEEPS
         assert es.rotations <= es.sweeps * d * (d - 1) // 2
-        assert (es.sweeps > 0) == (es.rotations > 0) == (d > 1)
+        assert (es.sweeps > 0) == (es.rotations > 0) == (1 < d <= LAPACK_START_DIM)
 
     def test_work_counts_exclude_skipped_pairs(self, rng):
         diagonal = eigh(HermitianObservable(np.diag([3.0, 1.0, 2.0])))
         assert (diagonal.sweeps, diagonal.rotations) == (0, 0)
-        # the 64 pairs across the two 8x8 blocks are skipped in every sweep
-        es = eigh(HermitianObservable(block_diagonal(rng)))
-        assert 0 < es.rotations <= es.sweeps * 2 * 28
+        # the 16 pairs across the two 4x4 blocks are skipped in every sweep
+        es = eigh(HermitianObservable(block_diagonal(rng, 4)))
+        assert 0 < es.rotations <= es.sweeps * 2 * 6
 
     def test_sweep_budget_exhausted(self, rng, monkeypatch):
         monkeypatch.setattr(shellqm.linalg, "JACOBI_SWEEPS", 1)
         with pytest.raises(NoConvergenceError, match=r"Jacobi sweep budget \(1\) exhausted"):
-            eigh(random_hermitian(32, rng))
+            eigh(random_hermitian(LAPACK_START_DIM, rng))
+
+    @pytest.mark.parametrize("d", [LAPACK_START_DIM, LAPACK_START_DIM + 1])
+    def test_lapack_start_only_above_its_dimension(self, d, rng, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigenvectors(h)
+
+        eigenvectors = shellqm.linalg._eigenvectors
+        monkeypatch.setattr(shellqm.linalg, "_eigenvectors", counted)
+        obs = random_hermitian(d, rng)
+        es = eigh(obs)
+        assert_decomposes(obs, es)
+        started = d > LAPACK_START_DIM
+        assert calls == ([(d, d)] if started else [])
+        assert (es.sweeps == 0) == started
+
+    def test_lapack_failure_is_no_convergence(self, rng, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(shellqm.linalg, "_eigenvectors", failing)
+        with pytest.raises(NoConvergenceError, match="LAPACK eigh for the Jacobi start: "
+                                                     "Eigenvalues did not converge"):
+            eigh(random_hermitian(LAPACK_START_DIM + 1, rng))
 
 
 class TestCommutator:

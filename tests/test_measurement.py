@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy._core.umath import _extobj_contextvar
 
+import shellqm.linalg
 import shellqm.measurement
 from shellqm import (
     AdmissibleSubspace,
@@ -33,8 +34,8 @@ from shellqm import (
 from shellqm.core import TOL_START, fro_norm
 from shellqm.errors import (DegenerateProjectionUnderflowError, DimensionMismatchError,
                             InvalidArgumentError)
-from shellqm.measurement import (PG_MAX_ITER, PG_RESTARTS, _lowest_eigenvector, _normalized_cdf,
-                                 _orthonormal_columns, outcome_index)
+from shellqm.linalg import _eigenvectors, _orthonormal_columns
+from shellqm.measurement import PG_MAX_ITER, PG_RESTARTS, _normalized_cdf, outcome_index
 from shellqm.rng import master_rng
 
 from conftest import SIGMA_Z, random_hermitian, random_state
@@ -330,9 +331,9 @@ def public_columns(m, complete=False):
 complete_columns = functools.partial(_orthonormal_columns, complete=True)
 
 
-def public_lowest(h):
-    """The public call `_lowest_eigenvector` stands for."""
-    return np.linalg.eigh(h)[1][:, 0]
+def public_eigenvectors(h):
+    """The public call `_eigenvectors` stands for."""
+    return np.linalg.eigh(h)[1]
 
 
 def outcome(f, *args):
@@ -377,7 +378,8 @@ def complement_bases(draw):
 
 
 class TestLapackHelpers:
-    """The minimizer's QR and 3x3 eigh give the public calls' bits."""
+    """The LAPACK helpers behind the minimizer and the Jacobi start give the
+    public calls' bits."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(ritz_blocks())
@@ -386,7 +388,7 @@ class TestLapackHelpers:
         assert outcome(_orthonormal_columns, block.T.copy().T) == bits(q)
         # a Hermitian Ritz matrix of the block's own size and scale
         h = q.conj().T @ (block @ block.conj().T) @ q
-        assert outcome(_lowest_eigenvector, h) == outcome(public_lowest, h)
+        assert outcome(_eigenvectors, h) == outcome(public_eigenvectors, h)
 
     @pytest.mark.parametrize("d, k", [(2, 2), (4, 3), (16, 3)])
     def test_nan_block(self, d, k):
@@ -396,7 +398,7 @@ class TestLapackHelpers:
         assert outcome(_orthonormal_columns, block.T.copy().T) == bits(q)
         # LAPACK returns NaN at 2x2 and does not converge at 3x3: the same either way
         h = np.full((k, k), np.nan + 0j)
-        assert outcome(_lowest_eigenvector, h) == outcome(public_lowest, h)
+        assert outcome(_eigenvectors, h) == outcome(public_eigenvectors, h)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(complement_bases())
@@ -430,7 +432,7 @@ class TestLapackHelpers:
 
         fast = levels()
         monkeypatch.setattr(shellqm.measurement, "_orthonormal_columns", public_columns)
-        monkeypatch.setattr(shellqm.measurement, "_lowest_eigenvector", public_lowest)
+        monkeypatch.setattr(shellqm.measurement, "_eigenvectors", public_eigenvectors)
         assert levels() == fast
 
 
@@ -460,7 +462,7 @@ def matmul_min(obs, sub, seed):
         for _ in range(PG_MAX_ITER):
             total_iters += 1
             basis = _orthonormal_columns(np.array([x, bx - value * x, *previous]).T)
-            y = _lowest_eigenvector(basis.conj().T @ b @ basis)
+            y = _eigenvectors(basis.conj().T @ b @ basis)[:, 0]
             step = basis @ y
             b_step = b @ step
             step_value = rayleigh(step, b_step)
@@ -557,8 +559,8 @@ class TestLapackErrorStates:
         got = under_outer_state(mode, _orthonormal_columns, block.T.copy().T)
         assert got == under_outer_state(mode, public_columns, block)
         h = edge_hermitian(kind, k, seed=d + k)
-        assert under_outer_state(mode, _lowest_eigenvector, h) == \
-            under_outer_state(mode, public_lowest, h)
+        assert under_outer_state(mode, _eigenvectors, h) == \
+            under_outer_state(mode, public_eigenvectors, h)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kind", ["nan", "huge", "subnormal"])
@@ -570,8 +572,8 @@ class TestLapackErrorStates:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("state, handler", [
-        (shellqm.measurement._QR_ERRSTATE, shellqm.measurement._raise_qr_error),
-        (shellqm.measurement._EIGH_ERRSTATE, shellqm.measurement._raise_eigh_error)])
+        (shellqm.linalg._QR_ERRSTATE, shellqm.linalg._raise_qr_error),
+        (shellqm.linalg._EIGH_ERRSTATE, shellqm.linalg._raise_eigh_error)])
     def test_prebuilt_states_are_the_public_calls_states(self, mode, state, handler):
         # every field, including over, divide and under, which no case above trips
         with np.errstate(all=mode) if mode else contextlib.nullcontext():
@@ -589,7 +591,7 @@ class TestLapackErrorStates:
         # the cases above include a raised LinAlgError under every mode
         h = np.full((3, 3), np.nan + 0j)
         for mode in self.MODES:
-            assert under_outer_state(mode, _lowest_eigenvector, h) == (
+            assert under_outer_state(mode, _eigenvectors, h) == (
                 np.linalg.LinAlgError, "Eigenvalues did not converge")
         assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
                                "invalid": "warn"}
@@ -612,10 +614,10 @@ def _private(dotted: str) -> bool:
 
 class TestNumpyPrivateNames:
     """The private numpy names the package calls are exactly NUMPY_PRIVATE,
-    each bound by name by an import in measurement.py, so a numpy that lacks
+    each bound by name by an import in linalg.py, so a numpy that lacks
     one stops `import shellqm` naming it."""
 
-    def test_only_measurement_binds_them_by_name(self):
+    def test_only_linalg_binds_them_by_name(self):
         bound = set()
         for path in Path(shellqm.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -630,7 +632,7 @@ class TestNumpyPrivateNames:
                     while isinstance(root, ast.Attribute):
                         root = root.value
                     assert not (isinstance(root, ast.Name) and root.id in ("np", "numpy"))
-        assert bound == {("measurement.py", module, name) for module, name in NUMPY_PRIVATE}
+        assert bound == {("linalg.py", module, name) for module, name in NUMPY_PRIVATE}
 
     @pytest.mark.parametrize("module, name", NUMPY_PRIVATE)
     def test_a_missing_name_stops_the_cli_naming_it(self, module, name):

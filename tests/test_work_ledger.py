@@ -20,7 +20,8 @@ refusal moved.  The option digests cover the same of every command on `equal_q2`
 with one option at or past its edge, or with a one-fault edit that an option
 replaces, so a change to how options are admitted shows whether any moved.  Like the
 goldens, the digests (and the minimizer's counts and bits) depend on numpy's build:
-Jacobi's products and the minimizer's 3x3 LAPACK `eigh` round as it does.
+Jacobi's products, its LAPACK start above d = 8 and the minimizer's 3x3 LAPACK `eigh`
+round as it does.
 
 `tests/work_ledger.json` holds the counts and digests.  A change that means to
 alter them rewrites it deliberately, by running this file as a script:
