@@ -27,6 +27,9 @@ round as it does.
 alter them rewrites it deliberately, by running this file as a script:
 
     PYTHONPATH=src python tests/test_work_ledger.py
+
+which prints each key it adds, removes or changes against the committed
+ledger, one a line, before it writes the file.
 """
 
 from __future__ import annotations
@@ -179,6 +182,10 @@ FAULTS = {  # each edit puts one fault in `equal_q2`
     "state off shell": ("normalize", False),
     "state zero": ("state", {"re": [0, 0], "im": [0, 0]}),
     "state 1e300": ("state", {"re": [1e300, 1], "im": [0, 0]}),
+    "trails 100": ("trails", 100),
+    "tolerance shell": ("tolerance", {"shell": 1e-3}),
+    "observable imag": ("observable", {**OBSERVABLE, "imag": OBSERVABLE["im"]}),
+    "state imag": ("state", {"re": [1, 1], "im": [0, 0], "imag": [0, 0]}),
 }
 
 
@@ -244,6 +251,17 @@ def counts() -> dict:
             "spectral": spectral_work(), "cli_jacobi": cli_jacobi_work()}
 
 
+def leaves(value, path: tuple = ()) -> dict:
+    """The ledger's numbers and digests keyed by their path, such as "minimize/0/iterations"."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {"/".join(map(str, path)): value}
+    return {key: leaf for name, item in items for key, leaf in leaves(item, (*path, name)).items()}
+
+
 def test_work_matches_the_ledger():
     ledger = json.loads(LEDGER.read_text())
     assert counts() == {name: ledger[name] for name in ("minimize", "spectral", "cli_jacobi")}
@@ -264,5 +282,12 @@ def test_options_match_the_ledger():
 if __name__ == "__main__":
     ledger = {**counts(), "cli": cli_digests(), "refusals": refusal_digests(),
               "options": option_digests()}
+    old, new = leaves(json.loads(LEDGER.read_text())), leaves(ledger)
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            print("added  ", key)
+        elif key not in new:
+            print("removed", key)
+        elif old[key] != new[key]:
+            print("changed", key)
     LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
-    print(LEDGER.read_text(), end="")
