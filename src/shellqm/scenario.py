@@ -174,7 +174,8 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     names, such as `seed`, `trials` and `tolerances`, to values that replace the document's
     (tolerances by name, read as the document's are) before the one `Scenario` built from the
     fields present decides their types, defaults and refusals, so an override is refused as the
-    same value in the document is; a name the format does not have is refused."""
+    same value in the document is.  A key the format does not have, in the document, in
+    `overrides` or in `observable` or `state` beyond `re` and `im`, is refused."""
     if not text.strip():
         raise ScenarioParseError("empty scenario document")
     try:
@@ -191,13 +192,17 @@ def parse_scenario(text: str | bytes, overrides: dict | None = None) -> Scenario
     if "tolerances" in doc:
         _object(doc, "tolerances")
     for name, value in (overrides or {}).items():
-        if name not in DOCUMENT_FIELDS:
-            raise ScenarioParseError(f"unknown field {name!r}")
         doc[name] = ({**doc.get(name, {}), **_object(overrides, name)} if name == "tolerances"
                      else value)
+    for name in doc:
+        if name not in DOCUMENT_FIELDS:
+            raise ScenarioParseError(f"unknown field {name!r}")
     present = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
     for name in ("observable", "state"):
         entry = _object(doc, name)
+        for part in entry:
+            if part not in ("re", "im"):
+                raise ScenarioParseError(f"unknown field {name + '.' + part!r}")
         for part in ("re", "im"):
             if part not in entry:
                 raise ScenarioParseError(f"field {name!r} needs {part!r} array")

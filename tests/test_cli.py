@@ -147,6 +147,28 @@ class TestParseScenario:
         assert scenario.observable_re.tolist() == [[3.0, 0.0], [0.0, 4.0]]
         assert scenario.trials == 5
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"trails": 100}, "unknown field 'trails'"),
+        ({"tolerance": {"shell": 1e-3}}, "unknown field 'tolerance'"),
+        ({"_comment": "equal weights"}, "unknown field '_comment'"),
+        ({"observable": {**MINIMAL["observable"], "imag": [[0, 0], [0, 0]]}},
+         "unknown field 'observable.imag'"),
+        ({"state": {**MINIMAL["state"], "imag": [0, 0]}}, "unknown field 'state.imag'"),
+    ], ids=["top-level-typo", "tolerance", "comment", "observable-part", "state-part"])
+    def test_unknown_document_fields_rejected(self, edit, message):
+        # a misspelled field would otherwise be dropped and its default used
+        with pytest.raises(ScenarioParseError, match=re.escape(message)):
+            parse_scenario(scenario_text(**edit))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_misspelled_tolerances_exit_2(self, tmp_path, command):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_text(tolerance={"shell": 1e-3}))
+        code, out, err = run_main([command, "--scenario", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "ScenarioParseError",
+                                            "message": "unknown field 'tolerance'"}
+
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**400], ids=["cap+1", "1e400"])
     def test_trials_above_cap_rejected(self, trials):
         with pytest.raises(ScenarioValidationError, match="trials"):
