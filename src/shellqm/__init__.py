@@ -16,7 +16,7 @@ from .core import (
     project_to_shell,
     states_equal,
 )
-from .dynamics import Trajectory, flow, flow_numeric, shell_defect
+from .dynamics import flow, flow_numeric, shell_defect
 from .experiments import (
     FrequencyTable,
     VerificationReport,
@@ -58,7 +58,6 @@ __all__ = [
     "ProbabilityDistribution",
     "Scenario",
     "StateVector",
-    "Trajectory",
     "VerificationReport",
     "born_probabilities",
     "canonical_phase",

@@ -127,8 +127,6 @@ def dispatch(command: str, scenario: Scenario, args: argparse.Namespace) -> int:
                    "passed": all(r.passed for r in reports)}
         _emit(_json_text(meta, payload), args.out, "verify.json")
         return 0 if payload["passed"] else 1
-    else:
-        raise ValueError(f"unknown command {command!r}")
 
     if structured:
         _emit(_json_text(meta, payload), args.out, f"{command}.json")

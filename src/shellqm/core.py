@@ -292,12 +292,10 @@ def project_to_shell(raw, hbar: float) -> StateVector:
 
 
 def phase_fix(components: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first component above TOL_ZERO * ||v||_2 is real
-    and positive.  Keyed on the first such component (not the largest) so the
-    representative is stable under small perturbations of other entries."""
+    """Rotate a nonzero vector so its first component above TOL_ZERO * ||v||_2
+    is real and positive.  Keyed on the first such component (not the largest)
+    so the representative is stable under small perturbations of other entries."""
     idx = (np.abs(components) > TOL_ZERO * fro_norm(components)).nonzero()[0]
-    if idx.size == 0:
-        return np.array(components, dtype=complex)
     lead = components[idx[0]]
     if lead.imag == 0.0 and lead.real > 0.0:
         return np.array(components, dtype=complex)

@@ -29,9 +29,8 @@ RK4_BLOCK = 32  # steps per batched product, a power of two; its powers hold RK4
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The two endpoints of a flow that `flow_numeric` integrates."""
+    """The final state of a flow that `flow_numeric` integrates."""
 
-    start: StateVector
     final: StateVector
 
 
@@ -64,7 +63,7 @@ def flow_numeric(
     the `StateVector` constructor decides, in step order, every state it does not.
     Powers past the first that leaves the float range are not used (a mode
     the state does not occupy may outgrow it), so a block is then shorter.
-    Only the endpoints are kept.
+    Only the final state is kept.
     """
     require_dim(psi0.dimension, a.dimension, "state")
     require_positive_int(steps, "steps")
@@ -97,7 +96,7 @@ def flow_numeric(
                 for off in states[~(dev <= screen)]:  # refused beyond RK4_SHELL_TOL
                     StateVector(off, hbar)
             psi = states[-1]
-    return Trajectory(psi0, StateVector(psi, hbar))
+    return Trajectory(StateVector(psi, hbar))
 
 
 def shell_defect(gen: GeneralQuadraticObservable, psi: np.ndarray) -> float:

@@ -105,15 +105,10 @@ class MeasurementRecord:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedMin:
-    """Result of minimizing a Hermitian form over an admissible subspace.
-
-    `eigenvalue` is the outcome value a_n; `form_value` is the raw minimum of
-    the form on the shell, hbar * a_n.  They are reported separately to avoid
-    unit confusion.
-    """
+    """Result of minimizing a Hermitian form over an admissible subspace:
+    `eigenvalue` is the outcome value a_n."""
 
     eigenvalue: float
-    form_value: float
     argmin: StateVector
     iterations: int
     restarts: int
@@ -126,22 +121,22 @@ def born_probabilities(
     degeneracy cluster.
 
     `eigh(obs)` is memoized on `obs`, so `system` is needed only to supply
-    a decomposition obtained some other way.  The distribution is memoized
-    on the state, keyed on the observable instance and the decomposition as
-    `eigh` is keyed on the observable: a later call on the same three
-    returns the same distribution, with its CDF, so `mean_value` and
-    `measure` on one state reuse it.
+    a decomposition obtained some other way.  The distribution depends only
+    on the decomposition and the state, so it is memoized on the state, keyed
+    on the decomposition: a later call with the same decomposition returns
+    the same distribution, with its CDF, so `mean_value` and `measure` on one
+    state reuse it.
     """
     require_dim(state.dimension, obs.dimension, "state")
     es = eigh(obs) if system is None else system
     memo = state.__dict__.get("_born")
-    if memo is None or memo[0] is not obs or memo[1] is not es:
+    if memo is None or memo[0] is not es:
         amplitudes = es.eigenvectors.conj().T @ state.components
         weights = np.abs(amplitudes) ** 2 / state.hbar
         probabilities = np.bincount(es.cluster, weights)
-        memo = (obs, es, ProbabilityDistribution(es.cluster_values, probabilities))
+        memo = (es, ProbabilityDistribution(es.cluster_values, probabilities))
         object.__setattr__(state, "_born", memo)
-    return memo[2]
+    return memo[1]
 
 
 def mean_value(obs: HermitianObservable, state: StateVector) -> float:
@@ -224,7 +219,6 @@ def constrained_min(
             if not step_value < value:
                 return ConstrainedMin(
                     eigenvalue=value,
-                    form_value=hbar * value,
                     argmin=make_state(np.sqrt(hbar) * (q @ x), hbar),
                     iterations=total_iters,
                     restarts=restart,

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellqm
-import shellqm.dynamics
 import shellqm.experiments
 import shellqm.rng
 import shellqm.scenario
@@ -352,10 +351,10 @@ class TestDispatch:
         assert doc["meta"]["rng"] == "philox4x64-10"
 
     def test_verify_fails_the_norm_report_on_a_drifting_flow(self, tmp_path, monkeypatch):
-        # a propagator scaled by 1 + 5e-9 moves the norm by 1e-8 hbar, past flow's TOL_SHELL
-        # and the report's TOL_NORM_DRIFT: the report fails, verify does not error
-        exact = shellqm.dynamics.unitary_propagator
-        monkeypatch.setattr(shellqm.dynamics, "unitary_propagator",
+        # the report's propagator scaled by 1 + 5e-9 moves the norm by 1e-8 hbar, past
+        # flow's TOL_SHELL and the report's TOL_NORM_DRIFT: the report fails, verify does not error
+        exact = shellqm.experiments.unitary_propagator
+        monkeypatch.setattr(shellqm.experiments, "unitary_propagator",
                             lambda a, t: exact(a, t) * (1 + 5e-9))
         code, _ = self.run(tmp_path, "verify", "--scenario", str(EQUAL_Q2), "--out", str(tmp_path))
         assert code == 1

@@ -560,7 +560,7 @@ class TestThresholdTable:
         # a refusal is a ShellQMError, which `cli.main` reports as one JSON
         # line; the rest are cli's own usage errors and exit, eigh's type
         # check, numpy's gufunc error contract and the seed protocol's error
-        allowed = {("cli.py", "ValueError"): 3, ("cli.py", "argparse.ArgumentError"): 1,
+        allowed = {("cli.py", "ValueError"): 2, ("cli.py", "argparse.ArgumentError"): 1,
                    ("cli.py", "SystemExit"): 2, ("linalg.py", "TypeError"): 1,
                    ("linalg.py", "LinAlgError"): 2, ("rng.py", "ValueError"): 1}
         others = {}
@@ -586,8 +586,7 @@ class TestThresholdTable:
             "core": {"errors"},
             "dynamics": {"core", "errors", "linalg"},
             "errors": set(),
-            "experiments": {"core", "dynamics", "errors", "linalg", "measurement", "phasespace",
-                            "rng"},
+            "experiments": {"core", "errors", "linalg", "measurement", "phasespace", "rng"},
             "linalg": {"core", "errors"},
             "measurement": {"core", "errors", "linalg", "rng"},
             "phasespace": {"core", "errors"},

@@ -24,7 +24,8 @@ from shellqm import (
     verification_suite,
 )
 from shellqm.core import TOL_CF, TOL_NORM_DRIFT
-from shellqm.errors import InsufficientTrialsError, InvalidArgumentError, NoConvergenceError
+from shellqm.errors import (DimensionMismatchError, InsufficientTrialsError, InvalidArgumentError,
+                            NoConvergenceError)
 from shellqm.experiments import (
     CHI2_999,
     MAX_TRIALS,
@@ -32,6 +33,7 @@ from shellqm.experiments import (
     _mean_report,
     chi2_threshold_999,
     courant_fischer_report,
+    norm_conservation_report,
 )
 from shellqm.measurement import _normalized_cdf, outcome_index
 from shellqm.rng import TRIAL_CHUNK, master_rng, trial_chunks
@@ -425,6 +427,10 @@ class TestVerificationSuite:
         obs, state = equal_weight_scenario()
         with pytest.raises(InvalidArgumentError):
             verification_suite(obs, state, trials=50, seed=0)
+
+    def test_norm_report_refuses_a_state_of_another_dimension(self, rng):
+        with pytest.raises(DimensionMismatchError, match="state: dimension 2 does not match 3"):
+            norm_conservation_report(random_hermitian(3, rng), random_state(2, rng), seed=0)
 
 
 class TestCourantFischer:

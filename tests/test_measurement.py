@@ -206,7 +206,7 @@ class TestConstrainedMin:
         sub = AdmissibleSubspace.full_shell(2)
         result = constrained_min(obs, sub, seed=3)
         assert result.eigenvalue == pytest.approx(-1.0, abs=1e-8)
-        assert result.form_value == pytest.approx(-1.0, abs=1e-8)
+        assert evaluate_observable(obs, result.argmin) == pytest.approx(-1.0, abs=1e-8)
         assert states_equal(result.argmin, make_state([0, 1], hbar=1.0), tol=1e-6)
 
     def test_sigma_z_second_level(self):
@@ -230,7 +230,7 @@ class TestConstrainedMin:
         hbar = 0.25
         result = constrained_min(obs, sub, seed=5, hbar=hbar)
         assert result.eigenvalue == pytest.approx(-1.0, abs=1e-8)
-        assert result.form_value == pytest.approx(-hbar, abs=1e-8)
+        assert evaluate_observable(obs, result.argmin) == pytest.approx(-hbar, abs=1e-8)
         assert result.argmin.hbar == hbar
 
     def test_matches_eigensolver_random(self, rng):
@@ -271,7 +271,9 @@ class TestConstrainedMin:
             result = constrained_min(obs, sub, seed=int(rng.integers(10**6)), hbar=hbar)
             overlap = np.abs(sub.basis.conj().T @ result.argmin.components)
             assert np.max(overlap, initial=0.0) <= 1e-13 * np.sqrt(hbar)
-            assert result.form_value == hbar * result.eigenvalue
+            # the form at the argmin is hbar times the level, to rounding
+            form = evaluate_observable(obs, result.argmin)
+            assert abs(form - hbar * result.eigenvalue) <= 1e-14 * hbar * fro_norm(obs.matrix)
 
     def test_descent_does_not_depend_on_hbar(self, rng):
         # hbar only sets the shell's radius: the eigenvalue and the iteration
